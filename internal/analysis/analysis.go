@@ -67,6 +67,7 @@ func All() []*Analyzer {
 		Exhaustive(),
 		CtxFlow(),
 		ObsPure(),
+		WarmPure(),
 		HotAlloc(),
 		DetFlow(),
 	}

@@ -213,6 +213,20 @@ func (c *Cache) ResetStats() {
 	c.Misses.Reset()
 }
 
+// CopyFrom overwrites c's contents, LRU state, and statistics with src's.
+// The geometries must match; it panics otherwise (a wiring bug).
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic(fmt.Sprintf("cache: CopyFrom between geometries %+v and %+v", src.cfg, c.cfg))
+	}
+	copy(c.tags, src.tags)
+	copy(c.used, src.used)
+	copy(c.dirty, src.dirty)
+	c.tick = src.tick
+	c.Hits = src.Hits
+	c.Misses = src.Misses
+}
+
 // Occupancy returns the fraction of ways currently valid.
 func (c *Cache) Occupancy() float64 {
 	valid := 0

@@ -36,6 +36,9 @@ func (p *NextLine) Accuracy() float64 {
 	return float64(p.nUseful) / float64(p.nIssued)
 }
 
+// CopyFrom overwrites p's training state with src's.
+func (p *NextLine) CopyFrom(src *NextLine) { *p = *src }
+
 const nextLineEvalWindow = 256
 
 // Observe is called with each demand line access; it appends the lines to
@@ -100,6 +103,16 @@ type strideEntry struct {
 // NewStride builds a stride prefetcher with the given degree.
 func NewStride(degree int) *Stride {
 	return &Stride{degree: degree, entries: make(map[uint64]strideEntry), limit: 256}
+}
+
+// CopyFrom overwrites p's configuration and per-stream detector state with
+// src's.
+func (p *Stride) CopyFrom(src *Stride) {
+	p.degree, p.limit = src.degree, src.limit
+	clear(p.entries)
+	for stream, e := range src.entries {
+		p.entries[stream] = e
+	}
 }
 
 // Observe is called with each demand access (stream ID and line address); it

@@ -233,6 +233,12 @@ type runnerState struct {
 	// (SetRemoteExecutor); the coordinator side of internal/fabric installs
 	// it. Local simulation never runs while it is set.
 	remote RemoteExecutor
+
+	// warm holds the shared WarmStates planned cells need, and warmHolds
+	// each planned cell's references to them (warm.go). Both are nil until
+	// a plan takes a reference.
+	warm      map[system.WarmKey]*warmFlight
+	warmHolds map[runKey]warmHold
 }
 
 // NewRunner builds a Runner over a configuration. The worker pool defaults
@@ -342,13 +348,19 @@ func (r *Runner) SetCellObserver(obs func(cellKey string, err error)) {
 }
 
 // CellSettlement describes one settled cell to the telemetry hook: the
-// cell's key, how long settling it took (wall clock — profiling data, never
-// exported deterministically), whether the result was restored from the
-// durable store rather than simulated, whether it was executed remotely by
-// the fabric, and the final error (nil on success).
+// cell's key, how long it executed and how long it queued (wall clock —
+// profiling data, never exported deterministically), whether the result was
+// restored from the durable store rather than simulated, whether it was
+// executed remotely by the fabric, and the final error (nil on success).
+//
+// WallNS runs from the moment the cell holds a worker slot (or, for a store
+// restore, from the start of the load) to settlement. QueueNS is the wait
+// before that: for the slot, and for a shared WarmState another cell is
+// computing.
 type CellSettlement struct {
 	Key       string
 	WallNS    int64
+	QueueNS   int64
 	FromStore bool
 	Remote    bool
 	Err       error
@@ -474,6 +486,10 @@ func (r *Runner) result(key runKey) (*system.Result, error) {
 // of the fabric needs both to rebuild the canonical persisted payload.
 func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 	ctx := r.callCtx()
+	// A caller whose context ended before it asked waits for nothing and
+	// starts nothing: its cells are "not started", as they are for a
+	// starter (runCell), whichever goroutine created the flight.
+	preCanceled := ctx.Err() != nil
 	for {
 		r.mu.Lock()
 		if r.planning {
@@ -491,8 +507,16 @@ func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, nil, withCode(ErrCanceled,
-					fmt.Errorf("harness: cell %s: abandoned wait: %w", key, ctx.Err()))
+				select {
+				case <-f.done: // settled meanwhile: its outcome still answers
+				default:
+					what := "abandoned wait"
+					if preCanceled {
+						what = "not started"
+					}
+					return nil, nil, withCode(ErrCanceled,
+						fmt.Errorf("harness: cell %s: %s: %w", key, what, ctx.Err()))
+				}
 			}
 			if errors.Is(f.err, ErrCanceled) && ctx.Err() == nil {
 				continue // the starter gave up, we have not: retry fresh
@@ -516,17 +540,25 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	defer close(f.done)
 	defer r.noteSettled()
 	// Wall time and peak RSS are profiling data, kept strictly outside the
-	// deterministic exports (ExportJSON never reads them).
+	// deterministic exports (ExportJSON never reads them). start marks the
+	// beginning of execution; slotted moves it past the queue wait.
 	//lint:ignore determinism per-cell wall-clock profiling, never feeds simulated state or deterministic exports
 	start := time.Now()
+	var queueNS int64
+	slotted := func() {
+		//lint:ignore determinism per-cell wall-clock profiling, never feeds simulated state or deterministic exports
+		now := time.Now()
+		queueNS = now.Sub(start).Nanoseconds()
+		start = now
+	}
 	fromStore := false
 	viaRemote := false
 	// Settlement bookkeeping: record the profiling row, evict canceled (and,
-	// in service mode, failed) cells so a later request re-attempts them, and
-	// notify the observers. One defer, not several: the profile must be
-	// finalized before the observers run, and stacked defers would execute
-	// in the wrong (LIFO) order. Runs after the recover below finalizes
-	// f.err, before waiters wake.
+	// in service mode, failed) cells so a later request re-attempts them,
+	// drop the cell's WarmState references, and notify the observers. One
+	// defer, not several: the profile must be finalized before the observers
+	// run, and stacked defers would execute in the wrong (LIFO) order. Runs
+	// after the recover below finalizes f.err, before waiters wake.
 	defer func() {
 		f.prof = cellProfile{
 			WallNS:    time.Since(start).Nanoseconds(),
@@ -537,6 +569,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		if evict && r.cache[key] == f {
 			delete(r.cache, key)
 		}
+		r.releaseWarmLocked(key)
 		obs := r.cellObserver
 		tel := r.cellTelemetry
 		r.mu.Unlock()
@@ -547,6 +580,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 			tel(CellSettlement{
 				Key:       key.String(),
 				WallNS:    f.prof.WallNS,
+				QueueNS:   queueNS,
 				FromStore: fromStore,
 				Remote:    viaRemote,
 				Err:       f.err,
@@ -588,9 +622,27 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		return
 	default:
 	}
+	// A planned cell resolves its shared WarmState before taking a slot:
+	// waiting for another cell's computation must not idle a worker.
+	var ws *system.WarmState
+	var claim *warmClaim
+	if remote == nil {
+		var err error
+		if ws, claim, err = r.sharedWarm(ctx, key); err != nil {
+			slotted()
+			f.err = withCode(ErrCanceled,
+				fmt.Errorf("harness: cell %s: not started: %w", key, err))
+			return
+		}
+		// A claim the cell leaves unfulfilled (canceled, failed, abandoned)
+		// passes the computation to the next waiting cell.
+		defer claim.publish(nil)
+	}
 	select {
 	case sem <- struct{}{}:
+		slotted()
 	case <-ctx.Done():
+		slotted()
 		f.err = withCode(ErrCanceled,
 			fmt.Errorf("harness: cell %s: not started: %w", key, ctx.Err()))
 		return
@@ -627,7 +679,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	var obs *metrics.Data
 	for attempt := 1; ; attempt++ {
 		var err error
-		res, obs, err = r.attemptCell(attemptCtx, key, timeout)
+		res, obs, err = r.attemptCell(attemptCtx, key, timeout, ws, claim)
 		if err == nil {
 			break
 		}
@@ -665,8 +717,10 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 // the sweep. The abandoned goroutine's eventual result, if any, lands in a
 // buffered channel and is discarded. The starter's context composes with
 // the watchdog: whichever fires first abandons the attempt, so a request
-// deadline bounds cell execution even without -cell-timeout.
-func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration) (*system.Result, *metrics.Data, error) {
+// deadline bounds cell execution even without -cell-timeout. ws and claim
+// are the cell's shared warmup (see simulate).
+func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration,
+	ws *system.WarmState, claim *warmClaim) (*system.Result, *metrics.Data, error) {
 	r.mu.Lock()
 	hook := r.cellHook
 	r.mu.Unlock()
@@ -690,7 +744,7 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 				return
 			}
 		}
-		res, obs, err := r.simulate(key)
+		res, obs, err := r.simulate(key, ws, claim)
 		if err != nil {
 			ch <- outcome{err: fmt.Errorf("harness: cell %s: %w", key, err)}
 			return
@@ -717,18 +771,14 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 }
 
 // simulate performs the actual system run for a cell, returning the
-// recorded observability data when the config enables metrics.
-func (r *Runner) simulate(key runKey) (*system.Result, *metrics.Data, error) {
-	w, ok := trace.ByName(key.workload)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown workload %q", key.workload)
-	}
-	var dcfg *core.Config
-	if key.design == system.DesignDyLeCT {
-		c := core.DefaultConfig()
-		c.SamplePeriod = key.samplePeriod
-		c.DirectToML0 = key.directToML0
-		dcfg = &c
+// recorded observability data when the config enables metrics. A cell with
+// a shared WarmState replays it; a cell holding a claim computes the state,
+// publishes it to the waiting cells, then replays it; any other cell warms
+// privately.
+func (r *Runner) simulate(key runKey, ws *system.WarmState, claim *warmClaim) (*system.Result, *metrics.Data, error) {
+	opts, err := r.cellOptions(key)
+	if err != nil {
+		return nil, nil, err
 	}
 	var rec *metrics.Recorder
 	if r.Cfg.MetricsSamples > 0 || r.Cfg.Trace {
@@ -738,7 +788,44 @@ func (r *Runner) simulate(key runKey) (*system.Result, *metrics.Data, error) {
 			TraceCap: r.Cfg.TraceCap,
 		})
 	}
-	res, err := system.RunE(system.Options{
+	opts.Obs = rec
+	var res *system.Result
+	switch {
+	case ws != nil:
+		res, err = system.RunWarmE(opts, ws)
+	case claim != nil:
+		ws, err = system.Prewarm(opts)
+		claim.publish(ws)
+		if err == nil {
+			res, err = system.RunWarmE(opts, ws)
+		}
+	default:
+		res, err = system.RunE(opts)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if rec == nil {
+		return res, nil, nil
+	}
+	return res, rec.Data(), nil
+}
+
+// cellOptions maps a cell onto the options its simulation runs with, minus
+// the per-run observability recorder.
+func (r *Runner) cellOptions(key runKey) (system.Options, error) {
+	w, ok := trace.ByName(key.workload)
+	if !ok {
+		return system.Options{}, fmt.Errorf("unknown workload %q", key.workload)
+	}
+	var dcfg *core.Config
+	if key.design == system.DesignDyLeCT {
+		c := core.DefaultConfig()
+		c.SamplePeriod = key.samplePeriod
+		c.DirectToML0 = key.directToML0
+		dcfg = &c
+	}
+	return system.Options{
 		Workload:       w,
 		Design:         key.design,
 		Setting:        key.setting,
@@ -756,15 +843,7 @@ func (r *Runner) simulate(key runKey) (*system.Result, *metrics.Data, error) {
 		Seed:           r.Cfg.Seed,
 		DyLeCT:         dcfg,
 		Audit:          r.Cfg.Audit,
-		Obs:            rec,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if rec == nil {
-		return res, nil, nil
-	}
-	return res, rec.Data(), nil
+	}, nil
 }
 
 // noteSettled records one settled cell and fires the progress callback.

@@ -102,7 +102,8 @@ type ProfileRow struct {
 	PeakRSSKB uint64  `json:"peakRSSKB"`
 }
 
-// ExportProfileJSON serializes per-cell wall time and peak RSS. This export
+// ExportProfileJSON serializes per-cell wall time (execution from the moment
+// the cell held a worker slot; queue wait excluded) and peak RSS. This export
 // is intentionally separate from ExportJSON: wall time varies run to run,
 // and mixing it into the deterministic export would break byte-compare
 // guarantees.

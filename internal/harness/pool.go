@@ -18,7 +18,8 @@ import (
 //     enumerate their cells from static loops, never from prior results.
 //  2. Warm: each planned cell is handed to a goroutine; the single-flight
 //     cache ensures exactly one simulation per unique key and the jobs
-//     semaphore bounds how many execute at once.
+//     semaphore bounds how many execute at once. Planned cells that share
+//     a system.WarmKey share one functional warmup (warm.go).
 //  3. Merge: experiment functions run concurrently, block on the in-flight
 //     cells they need, and their output blocks are collected into a slice
 //     indexed by registration order — so the merged output is deterministic
@@ -95,6 +96,7 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 	r.planned = r.done + fresh
 	r.onProgress = opts.Progress
 	r.mu.Unlock()
+	r.holdWarm(plan)
 
 	// Warm every planned cell. Cells an experiment needs beyond the plan
 	// (a planning miss) are still simulated lazily and merely lose overlap.
@@ -230,6 +232,7 @@ func RunShared(r *Runner, exps []Experiment) []ExperimentOutput {
 	// Warm every planned cell through the shared single-flight cache so a
 	// request's cells overlap regardless of experiment structure.
 	plan := planCells(r.Cfg, exps)
+	r.holdWarm(plan)
 	var warm sync.WaitGroup
 	for _, key := range plan {
 		warm.Add(1)

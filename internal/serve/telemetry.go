@@ -144,7 +144,8 @@ func (t *Telemetry) observeCell(s harness.CellSettlement) {
 	}
 	if s.Remote {
 		// Dispatched over the fabric: the wall time is dispatch latency
-		// (queue + remote simulation + transfer), still worth a histogram.
+		// (remote simulation + transfer, from the moment the cell held a
+		// local dispatch slot), still worth a histogram.
 		t.cells.Inc(class, "remote")
 		t.cellSeconds.Observe(float64(s.WallNS)/1e9, class)
 		return

@@ -237,7 +237,10 @@ func Run(opts Options) *Result {
 	return r
 }
 
-// RunE builds the system and executes warmup + timed window.
+// RunE builds the system and executes warmup + timed window. It computes
+// the run's WarmState privately and hands it to RunWarmE, so a run that
+// shares a WarmState with other runs and one that does not execute the same
+// restore, replay, and window code.
 //
 // RunE must stay hermetic: the harness worker pool executes many runs
 // concurrently, so everything mutable — engine, DRAM, translator, page
@@ -248,8 +251,47 @@ func Run(opts Options) *Result {
 // Errors are either configuration faults (the footprint scaled away) or, with
 // opts.Audit set, an *invariant.Error describing translator-state corruption.
 func RunE(opts Options) (*Result, error) {
+	ws, err := Prewarm(opts)
+	if err != nil {
+		return nil, err
+	}
+	return RunWarmE(opts, ws)
+}
+
+// RunWarmE executes a run from a precomputed WarmState: it restores the CPU
+// state and generators, replays the recorded translator calls into this
+// run's own translator, then runs the timed window. ws is only read, so any
+// number of concurrent runs may share it. ws must have been computed for
+// opts' WarmKey; RunWarmE returns an error otherwise.
+func RunWarmE(opts Options, ws *WarmState) (*Result, error) {
 	if opts.ScaleDivisor == 0 {
 		opts.ScaleDivisor = 1
+	}
+	key, err := WarmKeyOf(opts)
+	if err != nil {
+		return nil, err
+	}
+	if key != ws.key {
+		return nil, fmt.Errorf("system: WarmState for %s does not match the run's WarmKey %s", ws.key, key)
+	}
+	gens := make([]trace.Generator, len(ws.gens))
+	for i, g := range ws.gens {
+		gens[i] = g.Restore()
+	}
+	r, err := assemble(opts, gens)
+	if err != nil {
+		return nil, err
+	}
+	r.s.copyCPU(ws.cpu)
+	replay(ws.stream, sinkFor(r.s.Trans))
+	return r.finish()
+}
+
+// sized is a run's scaled workload and the microarchitecture it runs on.
+func sized(opts Options) (trace.Workload, Config, error) {
+	div := opts.ScaleDivisor
+	if div == 0 {
+		div = 1
 	}
 	cfg := Default()
 	if opts.Cfg != nil {
@@ -257,7 +299,7 @@ func RunE(opts Options) (*Result, error) {
 	}
 	cfg.HugePages = opts.HugePages
 	w := opts.Workload
-	w.FootprintBytes /= opts.ScaleDivisor
+	w.FootprintBytes /= div
 	// The paper's dynamics need footprints well beyond the CTE cache's
 	// 64MB unified reach; never scale below that regime (or below the
 	// workload's own size).
@@ -267,8 +309,25 @@ func RunE(opts Options) (*Result, error) {
 	// Keep instanced partitioning and huge pages aligned.
 	w.FootprintBytes &^= (8 << 20) - 1
 	if w.FootprintBytes == 0 {
-		return nil, fmt.Errorf("system: workload %q footprint scaled away (divisor %d, floor %d)",
-			w.Name, opts.ScaleDivisor, opts.FootprintFloor)
+		return w, cfg, fmt.Errorf("system: workload %q footprint scaled away (divisor %d, floor %d)",
+			w.Name, div, opts.FootprintFloor)
+	}
+	return w, cfg, nil
+}
+
+// run is one assembled, not yet warmed run.
+type run struct {
+	opts      Options
+	s         *System
+	dramBytes uint64
+}
+
+// assemble builds a run's engine, DRAM, page table, and translator around
+// the given per-core generators.
+func assemble(opts Options, gens []trace.Generator) (*run, error) {
+	w, cfg, err := sized(opts)
+	if err != nil {
+		return nil, err
 	}
 	ranks := opts.Ranks
 	if ranks == 0 {
@@ -317,16 +376,12 @@ func RunE(opts Options) (*Result, error) {
 	case DesignNaive:
 		tr = naive.New(params)
 	}
+	return &run{opts: opts, s: New(cfg, eng, d, tr, pt, gens), dramBytes: dramBytes}, nil
+}
 
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = w.NewGenerator(i, opts.Seed+1)
-	}
-	s := New(cfg, eng, d, tr, pt, gens)
-
-	if opts.WarmupAccesses > 0 {
-		s.Warmup(opts.WarmupAccesses)
-	}
+// finish runs a warmed run's timed window and collects its Result.
+func (r *run) finish() (*Result, error) {
+	s, opts, eng, tr := r.s, r.opts, r.s.Eng, r.s.Trans
 	s.ResetStats()
 	window := opts.Window
 	if window == 0 {
@@ -379,7 +434,7 @@ func RunE(opts Options) (*Result, error) {
 		return nil, auditErr
 	}
 
-	return collect(s, opts, window, dramBytes), nil
+	return collect(s, opts, window, r.dramBytes), nil
 }
 
 // scheduleFaults arms the plan's corruption ops on the event engine. Ops with

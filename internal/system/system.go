@@ -122,10 +122,19 @@ type coreCtx struct {
 // New assembles a system over a translator and per-core generators.
 func New(cfg Config, eng *engine.Engine, d *dram.Controller, tr mc.Translator,
 	pt *tlb.PageTable, gens []trace.Generator) *System {
+	s := newCPU(cfg, pt, gens)
+	s.Eng, s.DRAM, s.Trans = eng, d, tr
+	s.dramCap = d.Config().TotalBytes()
+	return s
+}
+
+// newCPU builds the design-independent half of a system: caches, TLBs,
+// walkers, prefetchers, and the first-touch bitmap, with no engine, DRAM,
+// or translator attached. Functional warmup needs nothing more.
+func newCPU(cfg Config, pt *tlb.PageTable, gens []trace.Generator) *System {
 	s := &System{
-		Cfg: cfg, Eng: eng, DRAM: d, Trans: tr, PT: pt,
+		Cfg: cfg, PT: pt,
 		l3:      cache.New(cfg.L3),
-		dramCap: d.Config().TotalBytes(),
 		touched: make([]uint64, (pt.FootprintBytes/4096+63)/64),
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -149,6 +158,24 @@ func New(cfg Config, eng *engine.Engine, d *dram.Controller, tr mc.Translator,
 		}
 	}
 	return s
+}
+
+// copyCPU overwrites the system's design-independent state with src's: the
+// state functional warmup trains. Generators are not copied; they are
+// restored separately (WarmState).
+func (s *System) copyCPU(src *System) {
+	s.l3.CopyFrom(src.l3)
+	copy(s.touched, src.touched)
+	for i, c := range s.cores {
+		o := src.cores[i]
+		c.tlb.CopyFrom(o.tlb)
+		c.walker.CopyFrom(o.walker)
+		c.l1.CopyFrom(o.l1)
+		c.l2.CopyFrom(o.l2)
+		c.nlL1.CopyFrom(o.nlL1)
+		c.stL1.CopyFrom(o.stL1)
+		c.stL2.CopyFrom(o.stL2)
+	}
 }
 
 // firstTouch records a 4KB OS page touch, reporting whether it is new.
@@ -189,10 +216,36 @@ func (s *System) walkHint(pa uint64) {
 // uncompressed metadata (see DESIGN.md).
 func (s *System) wrapDRAM(addr uint64) uint64 { return addr % s.dramCap }
 
+// warmSink receives the translator-bound half of functional warmup: the
+// L3-miss and dirty-writeback Warm calls and, under 4KB pages, the
+// post-walk hints, in program order. Nothing flows back, which is what lets
+// the CPU half be computed once per WarmKey and shared across designs.
+type warmSink interface {
+	Warm(line uint64, write bool)
+	WalkHint(pa uint64)
+}
+
+// hintless adapts a translator without PTB embedding into a warmSink.
+type hintless struct{ mc.Translator }
+
+func (hintless) WalkHint(uint64) {}
+
+// sinkFor returns the translator as a warmSink.
+func sinkFor(tr mc.Translator) warmSink {
+	if w, ok := tr.(warmSink); ok {
+		return w
+	}
+	return hintless{tr}
+}
+
 // Warmup runs n accesses per core through the functional path: caches,
 // TLBs, prefetcher training, translator state (expansions, promotions,
 // compression) — no timing. Mirrors the 5-second atomic-mode warmup.
-func (s *System) Warmup(n uint64) {
+func (s *System) Warmup(n uint64) { s.warm(n, sinkFor(s.Trans)) }
+
+// warm is the CPU side of functional warmup, driving sink with every
+// translator-bound call.
+func (s *System) warm(n uint64, sink warmSink) {
 	var a trace.Access
 	for _, c := range s.cores {
 		for i := uint64(0); i < n; i++ {
@@ -202,7 +255,9 @@ func (s *System) Warmup(n uint64) {
 			if !c.tlb.Lookup(a.VA) {
 				c.walker.Walk(a.VA) // train the walker cache
 				c.tlb.Insert(a.VA, s.PT.HugePages)
-				s.walkHint(pa)
+				if !s.PT.HugePages {
+					sink.WalkHint(pa)
+				}
 			}
 			line := pa &^ 63
 			if c.l1.Access(line, a.Write) {
@@ -219,21 +274,21 @@ func (s *System) Warmup(n uint64) {
 				c.l1.Fill(line, a.Write)
 				continue
 			}
-			s.Trans.Warm(line, a.Write)
-			s.fill(c, line, a.Write, true)
+			sink.Warm(line, a.Write)
+			if victim, vd, ev := s.l3.Fill(line, false); ev && vd {
+				sink.Warm(victim, true)
+			}
+			c.l2.Fill(line, false)
+			c.l1.Fill(line, a.Write)
 		}
 	}
 }
 
 // fill installs a line into L3/L2/L1, sending dirty L3 victims to the
 // translator as writebacks.
-func (s *System) fill(c *coreCtx, line uint64, dirty, functional bool) {
+func (s *System) fill(c *coreCtx, line uint64, dirty bool) {
 	if victim, vd, ev := s.l3.Fill(line, false); ev && vd {
-		if functional {
-			s.Trans.Warm(victim, true)
-		} else {
-			s.Trans.Access(victim, true, nil)
-		}
+		s.Trans.Access(victim, true, nil)
 	}
 	c.l2.Fill(line, false)
 	c.l1.Fill(line, dirty)
@@ -439,7 +494,7 @@ func (c *coreCtx) dataAccess(a *trace.Access, pa uint64) {
 	}
 	// L3 miss: through the compressed-memory translator.
 	c.l3Misses++
-	s.fill(c, line, a.Write, false)
+	s.fill(c, line, a.Write)
 	if a.Write {
 		s.Trans.Access(line, true, nil)
 		return

@@ -111,6 +111,21 @@ func (t *TLB) Insert(va uint64, huge bool) {
 	set[lru] = entry{vpn: vpn, huge: huge, valid: true, used: t.tick}
 }
 
+// CopyFrom overwrites t's entries, recency clock, and statistics with
+// src's. The geometries must match; it panics otherwise.
+func (t *TLB) CopyFrom(src *TLB) {
+	if len(t.sets) != len(src.sets) || t.assoc != src.assoc {
+		panic(fmt.Sprintf("tlb: CopyFrom between geometries %dx%d and %dx%d",
+			len(src.sets), src.assoc, len(t.sets), t.assoc))
+	}
+	for i := range t.sets {
+		copy(t.sets[i], src.sets[i])
+	}
+	t.tick = src.tick
+	t.Hits = src.Hits
+	t.Misses = src.Misses
+}
+
 // MissRate returns misses/(hits+misses).
 func (t *TLB) MissRate() float64 {
 	return stats.Ratio(t.Misses.Value(), t.Hits.Value()+t.Misses.Value())
@@ -188,9 +203,12 @@ func (pt *PageTable) LeafLevel() int {
 // WalkRefs returns the physical addresses of the page-table entries a full
 // walk of va touches, ordered from the root (level 4) down to the leaf.
 func (pt *PageTable) WalkRefs(va uint64) []uint64 {
-	leaf := pt.LeafLevel()
-	refs := make([]uint64, 0, 4-leaf)
-	for lvl := 3; lvl >= leaf; lvl-- {
+	return pt.appendWalkRefs(make([]uint64, 0, 4-pt.LeafLevel()), va)
+}
+
+// appendWalkRefs appends WalkRefs(va) to refs.
+func (pt *PageTable) appendWalkRefs(refs []uint64, va uint64) []uint64 {
+	for lvl := 3; lvl >= pt.LeafLevel(); lvl-- {
 		idx := va >> levelShift[lvl]
 		refs = append(refs, pt.tableBase[lvl]+idx*8)
 	}
@@ -204,6 +222,9 @@ func (pt *PageTable) WalkRefs(va uint64) []uint64 {
 type Walker struct {
 	pt     *PageTable
 	wcache *cache.Cache
+	// refs backs Walk's result. A walker serves one core, whose walks never
+	// overlap, so one buffer serves every walk without allocating.
+	refs [4]uint64
 
 	Walks    stats.Counter
 	MemRefs  stats.Counter
@@ -221,12 +242,14 @@ func NewWalker(pt *PageTable, cacheBytes int) *Walker {
 
 // Walk performs a page walk for va and returns the physical addresses of
 // the page-table references that must go to the memory hierarchy (i.e. the
-// walker-cache misses plus the leaf access).
+// walker-cache misses plus the leaf access). The returned slice is valid
+// until the walker's next Walk.
 func (w *Walker) Walk(va uint64) []uint64 {
 	w.Walks.Inc()
-	refs := w.pt.WalkRefs(va)
+	var levels [4]uint64
+	refs := w.pt.appendWalkRefs(levels[:0], va)
 	leaf := refs[len(refs)-1]
-	memRefs := make([]uint64, 0, len(refs))
+	memRefs := w.refs[:0]
 	for _, ref := range refs[:len(refs)-1] {
 		if w.wcache.Access(ref, false) {
 			w.CacheHit.Inc()
@@ -238,6 +261,15 @@ func (w *Walker) Walk(va uint64) []uint64 {
 	memRefs = append(memRefs, leaf)
 	w.MemRefs.Add(uint64(len(memRefs)))
 	return memRefs
+}
+
+// CopyFrom overwrites w's walker-cache contents and statistics with src's.
+// The page table is not copied: w keeps walking its own.
+func (w *Walker) CopyFrom(src *Walker) {
+	w.wcache.CopyFrom(src.wcache)
+	w.Walks = src.Walks
+	w.MemRefs = src.MemRefs
+	w.CacheHit = src.CacheHit
 }
 
 // CacheHitRate returns the fraction of page-table references filtered by

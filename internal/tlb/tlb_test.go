@@ -212,3 +212,15 @@ func BenchmarkTLBLookup(b *testing.B) {
 		tl.Lookup(uint64(i*4096) % (2 << 30))
 	}
 }
+
+func TestWalkAllocFree(t *testing.T) {
+	foot := uint64(1 << 30)
+	w := NewWalker(NewPageTable(foot, false, 0, foot), 1024)
+	va := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		va = (va + 7*PageSize4K) % foot
+		w.Walk(va)
+	}); n != 0 {
+		t.Fatalf("Walk allocated %.1f/op, want 0", n)
+	}
+}

@@ -33,9 +33,12 @@ type Generator interface {
 	Next(a *Access)
 }
 
-// component is a single access-pattern primitive inside a mixture.
+// component is a single access-pattern primitive inside a mixture. bind
+// returns an independent copy of the component drawing from rng; a nil rng
+// yields a detached copy that only a later bind may draw from.
 type component interface {
 	next(rng *rand.Rand, a *Access)
+	bind(rng *rand.Rand) component
 }
 
 // region is a byte range [base, base+size).
@@ -67,12 +70,18 @@ func (s *scan) next(rng *rand.Rand, a *Access) {
 	a.Stream = s.streamID
 }
 
+func (s *scan) bind(*rand.Rand) component {
+	c := *s
+	return &c
+}
+
 // zipfGather touches a Zipf-distributed page within its region, with a
 // configurable number of spatially-local follow-on accesses per touch —
 // vertex-property gathers, hash lookups.
 type zipfGather struct {
 	reg       region
 	zipf      *rand.Zipf
+	skew      float64
 	nPages    uint64
 	burst     int // accesses per page touch (spatial locality)
 	burstLeft int
@@ -98,6 +107,7 @@ func newZipfGather(rng *rand.Rand, reg region, skew float64, burst int, writes f
 	return &zipfGather{
 		reg:       reg,
 		zipf:      rand.NewZipf(rng, skew, 1, nPages-1),
+		skew:      skew,
 		nPages:    nPages,
 		burst:     burst,
 		writes:    writes,
@@ -137,6 +147,20 @@ func (z *zipfGather) next(rng *rand.Rand, a *Access) {
 	a.Stream = z.streamID
 }
 
+func (z *zipfGather) bind(rng *rand.Rand) component { return z.rebind(rng) }
+
+// rebind copies the gather with its Zipf sampler drawing from rng. The
+// sampler's other fields are constants of (skew, nPages), so a fresh one is
+// equivalent to the original at any point of the stream.
+func (z *zipfGather) rebind(rng *rand.Rand) *zipfGather {
+	c := *z
+	c.zipf = nil
+	if rng != nil {
+		c.zipf = rand.NewZipf(rng, z.skew, 1, z.nPages-1)
+	}
+	return &c
+}
+
 // chase models dependent pointer chasing: every access is a load whose
 // address the next access depends on, hopping between Zipf-skewed pages.
 type chase struct {
@@ -149,10 +173,14 @@ func (c *chase) next(rng *rand.Rand, a *Access) {
 	a.Write = false
 }
 
+func (c *chase) bind(rng *rand.Rand) component { return &chase{gather: c.gather.rebind(rng)} }
+
 // Mix is a weighted mixture of components; the standard Generator
 // implementation.
 type Mix struct {
 	rng     *rand.Rand
+	seed    int64
+	counter *countingSource // nil unless built by NewCountedMix
 	comps   []component
 	weights []float64
 	total   float64
@@ -160,7 +188,14 @@ type Mix struct {
 
 // NewMix builds a mixture generator with the given RNG seed.
 func NewMix(seed int64) *Mix {
-	return &Mix{rng: rand.New(rand.NewSource(seed))}
+	return &Mix{rng: rand.New(rand.NewSource(seed)), seed: seed}
+}
+
+// newCountedMix is NewMix over a source that counts its steps, so Snapshot
+// can record the mixture's position.
+func newCountedMix(seed int64) *Mix {
+	c := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+	return &Mix{rng: rand.New(c), seed: seed, counter: c}
 }
 
 func (m *Mix) add(w float64, c component) {
@@ -179,4 +214,62 @@ func (m *Mix) Next(a *Access) {
 		}
 		r -= w
 	}
+}
+
+// countingSource counts the steps drawn from a math/rand source. Every
+// Rand method advances the underlying source one step per Int63 or Uint64
+// call, so the count alone re-derives the source's state from its seed.
+type countingSource struct {
+	rand.Source64
+	steps uint64
+}
+
+func (c *countingSource) Int63() int64 {
+	c.steps++
+	return c.Source64.Int63()
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.steps++
+	return c.Source64.Uint64()
+}
+
+// MixState is a Mix's position in its stream: the seed and step count of
+// its source plus detached copies of its components' cursors. It is
+// immutable; any number of goroutines may Restore from one MixState.
+type MixState struct {
+	seed    int64
+	steps   uint64
+	comps   []component
+	weights []float64
+	total   float64
+}
+
+// Snapshot records the mixture's current position. Only a Mix built by
+// NewCountedMix knows its position; Snapshot panics on any other.
+func (m *Mix) Snapshot() MixState {
+	if m.counter == nil {
+		panic("trace: Snapshot of a Mix without a counted source")
+	}
+	st := MixState{seed: m.seed, steps: m.counter.steps, weights: m.weights, total: m.total}
+	for _, c := range m.comps {
+		st.comps = append(st.comps, c.bind(nil))
+	}
+	return st
+}
+
+// Restore builds a Mix that continues the snapshotted stream draw for draw.
+// The new Mix runs on a plain (uncounted) source: reseeded, then advanced
+// by the recorded step count.
+func (st MixState) Restore() *Mix {
+	src := rand.NewSource(st.seed)
+	for i := uint64(0); i < st.steps; i++ {
+		src.Int63()
+	}
+	m := &Mix{rng: rand.New(src), seed: st.seed, weights: st.weights, total: st.total}
+	m.comps = make([]component, len(st.comps))
+	for i, c := range st.comps {
+		m.comps[i] = c.bind(m.rng)
+	}
+	return m
 }

@@ -289,3 +289,61 @@ func BenchmarkGeneratorNext(b *testing.B) {
 		g.Next(&a)
 	}
 }
+
+// TestMixRestoreContinuesStream: a Mix restored from a snapshot continues
+// the stream draw for draw, for every workload, at several seeds and cores.
+// Shared warmup restores every core's generator this way, so any drift here
+// would change every timed window.
+func TestMixRestoreContinuesStream(t *testing.T) {
+	const prefix, continued = 50_000, 1_000_000
+	for _, w := range Workloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			checkRestore(t, w, prefix, continued)
+		})
+	}
+}
+
+func checkRestore(t *testing.T, w Workload, prefix, continued int) {
+	for i, seed := range []int64{1, 2, 99} {
+		core := i % 4
+		plain := w.NewGenerator(core, seed)
+		counted := w.NewCountedMix(core, seed)
+		var a, b Access
+		for n := 0; n < prefix; n++ {
+			plain.Next(&a)
+			counted.Next(&b)
+		}
+		st := counted.Snapshot()
+		restored, twin := st.Restore(), st.Restore()
+		for n := 0; n < continued; n++ {
+			plain.Next(&a)
+			restored.Next(&b)
+			if a != b {
+				t.Fatalf("%s seed %d core %d: restored stream diverged at access %d: %+v vs %+v",
+					w.Name, seed, core, n, b, a)
+			}
+		}
+		// Restores are independent: the twin starts where the snapshot
+		// was taken, untouched by the first restore's million draws.
+		check := w.NewGenerator(core, seed)
+		for n := 0; n < prefix; n++ {
+			check.Next(&a)
+		}
+		check.Next(&a)
+		twin.Next(&b)
+		if a != b {
+			t.Fatalf("%s seed %d: second restore of one snapshot diverged: %+v vs %+v", w.Name, seed, b, a)
+		}
+	}
+}
+
+func TestSnapshotNeedsCountedMix(t *testing.T) {
+	w, _ := ByName("bfs")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Snapshot of an uncounted Mix did not panic")
+		}
+	}()
+	w.NewGenerator(0, 1).(*Mix).Snapshot()
+}

@@ -138,7 +138,22 @@ func Names() []string {
 // Multi-threaded workloads share one footprint across cores; instanced
 // workloads partition the footprint into four per-core instances.
 func (w Workload) NewGenerator(core int, seed int64) Generator {
-	m := NewMix(seed ^ int64(core)*0x5851F42D4C957F2D ^ hashName(w.Name))
+	return w.build(NewMix(w.mixSeed(core, seed)), core)
+}
+
+// NewCountedMix builds the same stream as NewGenerator, on a source that
+// counts its draws so the returned Mix can Snapshot its position. Counting
+// costs a little per draw; callers that never snapshot use NewGenerator.
+func (w Workload) NewCountedMix(core int, seed int64) *Mix {
+	return w.build(newCountedMix(w.mixSeed(core, seed)), core)
+}
+
+func (w Workload) mixSeed(core int, seed int64) int64 {
+	return seed ^ int64(core)*0x5851F42D4C957F2D ^ hashName(w.Name)
+}
+
+// build adds the workload's components for one core to an empty mixture.
+func (w Workload) build(m *Mix, core int) *Mix {
 	full := region{base: 0, size: w.FootprintBytes}
 	if w.Instanced {
 		inst := w.FootprintBytes / 4

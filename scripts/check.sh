@@ -44,6 +44,12 @@
 #            (scripts/fabric_chaos.sh; FABRIC_DIR keeps the artifacts)
 #   fuzz     10s smoke per fuzz target in ./internal/comp and the
 #            BENCH_*.json snapshot decoder in ./internal/perfbench
+#   e2e      the end-to-end benchmark's own smoke test (cd e2ebench &&
+#            go test ./...) under the offline Go environment
+#            e2ebench/run.sh sets up: every workload tiny, in both modes,
+#            metric names checked against BENCHMARK.json. e2ebench is its
+#            own module, so root `go test ./...` never builds it; this step
+#            catches a simulator API change that breaks the benchmark
 #   bench    perf-trajectory gate: run the pinned dylect-bench suite and
 #            compare against the newest committed BENCH_*.json snapshot.
 #            allocs/event drift hard-fails; wall-clock drift warns only
@@ -58,13 +64,13 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-10s}"
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(build vet lint contracts race golden faults obs serve store fabric fuzz bench)
+[ ${#steps[@]} -eq 0 ] && steps=(build vet lint contracts race golden faults obs serve store fabric fuzz e2e bench)
 
 for s in "${steps[@]}"; do
 	case "$s" in
-	build | vet | lint | contracts | race | golden | faults | obs | serve | store | fabric | fuzz | bench) ;;
+	build | vet | lint | contracts | race | golden | faults | obs | serve | store | fabric | fuzz | e2e | bench) ;;
 	*)
-		echo "unknown step '$s' (want: build vet lint contracts race golden faults obs serve store fabric fuzz bench)" >&2
+		echo "unknown step '$s' (want: build vet lint contracts race golden faults obs serve store fabric fuzz e2e bench)" >&2
 		exit 2
 		;;
 	esac
@@ -278,6 +284,20 @@ if want fuzz; then
 			go test -run='^$' -fuzz="^${t}\$" -fuzztime="$FUZZTIME" "$pkg"
 		done
 	done
+fi
+
+if want e2e; then
+	echo "== end-to-end benchmark smoke (cd e2ebench && go test ./...)"
+	# The same environment e2ebench/run.sh builds under: Go's caches and
+	# temporaries inside .bench_build/, no network, no toolchain switch.
+	(
+		out="$PWD/.bench_build"
+		mkdir -p "$out/tmp" "$out/config"
+		export GOCACHE="$out/gocache" GOMODCACHE="$out/gomodcache" \
+			GOPATH="$out/gopath" GOTMPDIR="$out/tmp" TMPDIR="$out/tmp" \
+			XDG_CONFIG_HOME="$out/config" GOTOOLCHAIN=local GOPROXY=off GOWORK=off
+		cd e2ebench && go test -count=1 ./...
+	)
 fi
 
 if want bench; then
