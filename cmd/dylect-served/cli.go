@@ -76,9 +76,7 @@ func servedCLI(ctx context.Context, args []string, out, errOut io.Writer, ext *m
 		audit     = fs.Bool("audit", false, "walk translator-state invariants during every run")
 		jobs      = fs.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 
-		cellTO  = fs.Duration("cell-timeout", 2*time.Minute, "per-cell watchdog (0 = off)")
-		retries = fs.Int("retries", 2, "retry a cell's transient failures up to this many times")
-		backoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between cell retries")
+		cellTO = fs.Duration("cell-timeout", 2*time.Minute, "per-cell watchdog (0 = off)")
 
 		maxCost   = fs.Int("max-cost", 0, "admission: concurrent fresh-simulation budget (0 = default)")
 		maxQueue  = fs.Int("max-queue", 0, "admission: queued requests before shedding (0 = default)")
@@ -168,8 +166,6 @@ func servedCLI(ctx context.Context, args []string, out, errOut io.Writer, ext *m
 		Checkpoint:     cp,
 		Jobs:           *jobs,
 		CellTimeout:    *cellTO,
-		Retries:        *retries,
-		RetryBackoff:   *backoff,
 		MaxCost:        *maxCost,
 		MaxQueue:       *maxQueue,
 		PerClient:      *perClient,

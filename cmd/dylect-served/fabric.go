@@ -39,7 +39,7 @@ func workerCLI(ctx context.Context, args []string, out, errOut io.Writer) int {
 		addFlags: func(fs *flag.FlagSet) {
 			coordinator = fs.String("coordinator", "", "coordinator base URL to announce join/leave to (empty = rely on its -workers list or heartbeat)")
 			advertise = fs.String("advertise", "", "base URL the coordinator should dial this worker at (default http://<listen addr>)")
-			chaos = fs.String("chaos", "", "comma-separated fault script kind:match[:failN] (kind: panic, hang, transient); chaos soak only")
+			chaos = fs.String("chaos", "", "comma-separated fault script kind:match[:failN] (kind: panic, hang, error); chaos soak only")
 		},
 		configure: func(ctx context.Context, b *bootState) error {
 			if *chaos != "" {
@@ -201,8 +201,8 @@ func parseChaos(script string) (*faults.CellInjector, error) {
 			kind = faults.CellPanic
 		case "hang":
 			kind = faults.CellHang
-		case "transient":
-			kind = faults.CellTransient
+		case "error":
+			kind = faults.CellError
 		default:
 			return nil, fmt.Errorf("chaos spec %q: unknown kind %q", spec, parts[0])
 		}

@@ -114,7 +114,7 @@ func TestWorkerCLIBadChaosSpec(t *testing.T) {
 
 // TestParseChaosSpecs covers the accepted grammar.
 func TestParseChaosSpecs(t *testing.T) {
-	if _, err := parseChaos("hang:omnetpp,panic:fig4:2,transient::1"); err != nil {
+	if _, err := parseChaos("hang:omnetpp,panic:fig4:2,error::1"); err != nil {
 		t.Fatalf("valid script rejected: %v", err)
 	}
 	for _, bad := range []string{"hang", "warp:x", "panic:x:many", "panic:x:-1"} {

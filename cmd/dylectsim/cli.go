@@ -42,14 +42,12 @@ func cli(ctx context.Context, args []string, out, errOut io.Writer) int {
 		checkpoint    = fs.String("checkpoint", "", "persist completed cells to this directory and resume from it")
 		storeBudgetMB = fs.Int64("store-budget-mb", 0, "checkpoint store byte budget in MiB; least-recently-used records evict beyond it (0 = unbounded)")
 		cellTO        = fs.Duration("cell-timeout", 0, "per-cell watchdog: abandon a cell producing no result within this duration (0 = off)")
-		retries       = fs.Int("retries", 0, "retry a cell's transient failures up to this many times")
-		backoff       = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between retries (scaled by attempt)")
 
 		metricsOut     = fs.String("metrics-out", "", "write per-cell interval samples as NDJSON to this file (written atomically)")
 		metricsSamples = fs.Int("metrics-samples", 32, "interval samples per cell when -metrics-out is set")
 		traceOut       = fs.String("trace-out", "", "write per-cell structured events as Chrome trace-event JSON (Perfetto-loadable) to this file")
 		traceCap       = fs.Int("trace-cap", 0, "per-cell event ring capacity for -trace-out (0 = default 65536; oldest events drop beyond it)")
-		profileOut     = fs.String("profile-out", "", "write per-cell wall time and peak RSS as JSON to this file (nondeterministic; kept out of -json)")
+		profileOut     = fs.String("profile-out", "", "write per-cell wall time as JSON to this file (nondeterministic; kept out of -json)")
 		pprofCPU       = fs.String("pprof-cpu", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 		pprofMem       = fs.String("pprof-mem", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
@@ -140,12 +138,10 @@ func cli(ctx context.Context, args []string, out, errOut io.Writer) int {
 
 	start := time.Now()
 	outs, err := harness.RunExperiments(runner, selected, harness.ExecOptions{
-		Jobs:         *jobs,
-		Progress:     progressLine(errOut, start),
-		Context:      ctx,
-		CellTimeout:  *cellTO,
-		Retries:      *retries,
-		RetryBackoff: *backoff,
+		Jobs:        *jobs,
+		Progress:    progressLine(errOut, start),
+		Context:     ctx,
+		CellTimeout: *cellTO,
 	})
 	fmt.Fprintln(errOut)
 

@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -99,10 +97,10 @@ type Coordinator struct {
 	workers map[string]*workerState
 	leases  map[int64]*lease
 	leaseID int64
-	rng     *rand.Rand
 	// window holds recent successful dispatch durations for the p95 hedge
 	// delay (newest last, bounded to latencyWindow entries).
 	window []time.Duration
+	jitter *serve.Backoff
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -153,7 +151,7 @@ func New(cfg Config) *Coordinator {
 		clock:   time.Now,
 		workers: make(map[string]*workerState),
 		leases:  make(map[int64]*lease),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		jitter:  serve.NewBackoff(cfg.Seed),
 		stop:    make(chan struct{}),
 	}
 	for _, w := range cfg.Workers {
@@ -316,12 +314,12 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 
 func (c *Coordinator) handleMember(rw http.ResponseWriter, req *http.Request, join bool) {
 	if req.Method != http.MethodPost {
-		writeFabricErr(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
+		serve.WriteError(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
 		return
 	}
 	var mr MemberRequest
 	if err := json.NewDecoder(req.Body).Decode(&mr); err != nil || mr.Worker == "" {
-		writeFabricErr(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad member request", 0)
+		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad member request", 0)
 		return
 	}
 	if join {
@@ -414,17 +412,15 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 	return nil, fmt.Errorf("fabric: cell %s: %d dispatch attempts failed: %w", cellKey, c.cfg.Attempts, last)
 }
 
-// backoff sleeps the jittered exponential delay before a retry, raised to a
-// worker's Retry-After advice when that is longer, and never past ctx.
+// backoff sleeps the shared Backoff rule's delay before a retry (raised to
+// a worker's Retry-After advice, no cap), and never past ctx.
 func (c *Coordinator) backoff(ctx context.Context, attempt int, last error) error {
-	max := c.cfg.RetryBackoff << (attempt - 1)
-	c.mu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(max) + 1))
-	c.mu.Unlock()
+	var advice time.Duration
 	var de *DispatchError
-	if errors.As(last, &de) && de.RetryAfter > d {
-		d = de.RetryAfter
+	if errors.As(last, &de) {
+		advice = de.RetryAfter
 	}
+	d := c.jitter.Wait(attempt, c.cfg.RetryBackoff, advice, 0)
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
 		return fmt.Errorf("fabric: retry backoff %v would outlive the deadline: %w", d, context.DeadlineExceeded)
 	}
@@ -580,14 +576,10 @@ func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string,
 	if resp.StatusCode != http.StatusOK {
 		var er serve.ErrorResponse
 		json.Unmarshal(data, &er)
-		de := &DispatchError{Worker: worker, Code: er.Code, Status: resp.StatusCode, Msg: er.Error}
+		de := &DispatchError{Worker: worker, Code: er.Code, Status: resp.StatusCode, Msg: er.Error,
+			RetryAfter: serve.RetryAfter(resp.Header, er)}
 		if er.Code == "" {
 			de.Msg = string(bytes.TrimSpace(data))
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if sec, perr := strconv.ParseFloat(ra, 64); perr == nil && sec > 0 {
-				de.RetryAfter = time.Duration(sec * float64(time.Second))
-			}
 		}
 		if er.Code == CodeConfigMismatch {
 			// A worker running a different config or schema can never serve
@@ -685,6 +677,3 @@ func (c *Coordinator) releaseLease(id int64) {
 
 // RingSize reports live ring membership (tests and stats).
 func (c *Coordinator) RingSize() int { return c.ring.Size() }
-
-// RingMembers reports the live member list, sorted.
-func (c *Coordinator) RingMembers() []string { return c.ring.Members() }

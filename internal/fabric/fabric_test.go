@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 
 	"dylect/internal/engine"
 	"dylect/internal/harness"
+	"dylect/internal/serve"
 	"dylect/internal/system"
 	"dylect/internal/telemetry"
 )
@@ -271,6 +273,37 @@ func TestFabricConfigMismatchEvicts(t *testing.T) {
 	}
 	if coord.RingSize() != 0 {
 		t.Errorf("ring size = %d after config mismatch, want 0", coord.RingSize())
+	}
+}
+
+// TestFabricHonorsRetryAfter: a worker's Retry-After advice raises the
+// coordinator's backoff past its 5ms jitter ceiling, so a cooldown that
+// cannot finish before the cell's deadline fails at once with the deadline
+// instead of re-dispatching into the cooldown.
+func TestFabricHonorsRetryAfter(t *testing.T) {
+	var hits atomic.Int32
+	w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		hits.Add(1)
+		serve.WriteError(rw, http.StatusServiceUnavailable, serve.CodeOverloaded, "busy", 30*time.Second)
+	}))
+	defer w.Close()
+	coord, _ := newCoordinator([]string{w.URL}, func(c *Config) {
+		c.Attempts = 3
+		c.DeadAfter = 10 // keep the worker in the ring across failures
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := coord.Execute(ctx, microSpec())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline", err)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("took %v: the coordinator slept into a hopeless cooldown", waited)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("worker dispatched %d times, want 1 (advice ignored)", n)
 	}
 }
 

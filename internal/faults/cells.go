@@ -5,47 +5,11 @@ import (
 	"sync"
 )
 
-// Harness-level fault injection: scripted cell panics, hangs, and transient
-// errors for the experiment pool. The harness exposes a per-cell hook
+// Harness-level fault injection: scripted cell panics, hangs, and errors
+// for the experiment pool. The harness exposes a per-cell hook
 // (Runner.SetCellHook) that runs at the top of every cell attempt; a
 // CellInjector implements that hook from a deterministic script keyed on
 // cell-key substrings.
-
-// Transient is an error the harness may retry: it models the recoverable
-// failure class (a flaky filesystem write, an interrupted worker) as
-// opposed to deterministic simulator faults, which retrying cannot fix.
-type Transient struct {
-	Msg string
-}
-
-// Error implements error.
-func (t Transient) Error() string { return t.Msg }
-
-// Transient marks the error retryable for harness retry logic.
-func (Transient) Transient() bool { return true }
-
-// IsTransient reports whether err (or anything it wraps, through single or
-// multi-error unwrapping) is marked transient via a `Transient() bool`
-// method.
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if t, ok := err.(interface{ Transient() bool }); ok && t.Transient() {
-		return true
-	}
-	switch u := err.(type) {
-	case interface{ Unwrap() error }:
-		return IsTransient(u.Unwrap())
-	case interface{ Unwrap() []error }:
-		for _, e := range u.Unwrap() {
-			if IsTransient(e) {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // CellFaultKind enumerates the harness failure classes the pool must
 // contain.
@@ -58,8 +22,9 @@ const (
 	// CellHang blocks the cell until its Release channel closes (forever
 	// when nil), exercising the watchdog.
 	CellHang
-	// CellTransient returns a Transient error, exercising retry.
-	CellTransient
+	// CellError returns a plain (uncoded) error, the failure class of an
+	// unknown workload or a store write error.
+	CellError
 )
 
 // String names the kind.
@@ -69,8 +34,8 @@ func (k CellFaultKind) String() string {
 		return "panic"
 	case CellHang:
 		return "hang"
-	case CellTransient:
-		return "transient"
+	case CellError:
+		return "error"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -153,8 +118,8 @@ func (ci *CellInjector) Hook(cellKey string) error {
 		}
 		<-spec.Release
 		return nil
-	case CellTransient:
-		return Transient{Msg: fmt.Sprintf("faults: injected transient failure (attempt %d)", hits)}
+	case CellError:
+		return fmt.Errorf("faults: injected error (attempt %d)", hits)
 	}
 	return nil
 }

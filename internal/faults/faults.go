@@ -12,8 +12,8 @@
 //     event engine, so injection is exactly reproducible for a given seed.
 //
 //   - Harness cell faults (cells.go): a CellInjector that scripts panics,
-//     hangs, and transient errors into the worker pool's cell execution
-//     path, exercising the watchdog, retry, and panic-capture machinery.
+//     hangs, and errors into the worker pool's cell execution path,
+//     exercising the watchdog, panic capture, and failure eviction.
 //
 // Nothing in the production simulation path depends on this package;
 // injection only happens when a test or the CI fault smoke asks for it.

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -86,30 +85,14 @@ func TestPlanApplyRecordsInjections(t *testing.T) {
 	}
 }
 
-func TestTransientDetection(t *testing.T) {
-	err := Transient{Msg: "flaky"}
-	if !IsTransient(err) {
-		t.Fatal("Transient not detected")
-	}
-	if !IsTransient(fmt.Errorf("cell x: %w", err)) {
-		t.Fatal("wrapped Transient not detected")
-	}
-	if IsTransient(errors.New("deterministic")) {
-		t.Fatal("plain error misclassified as transient")
-	}
-	if IsTransient(nil) {
-		t.Fatal("nil misclassified as transient")
-	}
-}
-
 // TestCellInjectorPool proves the injector covers every harness failure
-// class: panic, hang, and transient error, with bounded Fail counts.
+// class: panic, hang, and error, with bounded Fail counts.
 func TestCellInjectorPool(t *testing.T) {
 	ci := NewCellInjector()
 	release := make(chan struct{})
 	ci.Script("a/tmcc", CellSpec{Kind: CellPanic, Fail: 1})
 	ci.Script("b/dylect", CellSpec{Kind: CellHang, Fail: 1, Release: release})
-	ci.Script("c/naive", CellSpec{Kind: CellTransient, Fail: 2})
+	ci.Script("c/naive", CellSpec{Kind: CellError, Fail: 2})
 
 	// Panic class: first attempt panics, second succeeds.
 	func() {
@@ -144,16 +127,14 @@ func TestCellInjectorPool(t *testing.T) {
 		t.Fatalf("released hang errored: %v", err)
 	}
 
-	// Transient class: Fail attempts fail, then success; wrapped errors
-	// stay transient.
+	// Error class: Fail attempts fail, then success.
 	for i := 0; i < 2; i++ {
-		err := ci.Hook("c/naive/high")
-		if err == nil || !IsTransient(err) {
-			t.Fatalf("attempt %d: want transient, got %v", i+1, err)
+		if err := ci.Hook("c/naive/high"); err == nil {
+			t.Fatalf("attempt %d: want an injected error", i+1)
 		}
 	}
 	if err := ci.Hook("c/naive/high"); err != nil {
-		t.Fatalf("transient budget not exhausted: %v", err)
+		t.Fatalf("error budget not exhausted: %v", err)
 	}
 
 	// Unmatched cells are untouched.

@@ -4,26 +4,23 @@ import "errors"
 
 // Machine-readable cell failure codes. Every cell failure the pool produces
 // wraps exactly one of these sentinels, so callers — the serving layer's
-// circuit breaker, retry policies, tests — classify failures with errors.Is
-// instead of matching message substrings:
+// circuit breaker, tests — classify failures with errors.Is instead of
+// matching message substrings:
 //
 //	ErrCellTimeout   the per-cell watchdog abandoned a hung attempt
 //	ErrCellPanic     the cell's worker panicked (message carries the stack)
-//	ErrTransient     a transient failure survived the retry budget
 //	ErrCanceled      a context canceled the cell before or during execution
 //
 // Codes ride alongside the human-readable error (which still names the cell
-// key) via a multi-error wrapper, so existing %w chains — including the
-// Transient() marker method on injected faults — stay intact.
+// key) via a multi-error wrapper, so existing %w chains stay intact.
 var (
 	ErrCellTimeout = errors.New("cell watchdog timeout")
 	ErrCellPanic   = errors.New("cell panic")
-	ErrTransient   = errors.New("transient cell failure")
 	ErrCanceled    = errors.New("cell canceled")
 )
 
 // cellCodes lists every sentinel, in classification-priority order.
-var cellCodes = []error{ErrCellTimeout, ErrCellPanic, ErrTransient, ErrCanceled}
+var cellCodes = []error{ErrCellTimeout, ErrCellPanic, ErrCanceled}
 
 // coded attaches a machine-readable code to a cell failure. Unwrap returns
 // both branches so errors.Is finds the sentinel and the wrapped chain alike.
@@ -44,8 +41,8 @@ func withCode(code, err error) error {
 }
 
 // CellErrorCode returns the failure-code sentinel carried by a cell error
-// (ErrCellTimeout, ErrCellPanic, ErrTransient, or ErrCanceled), or nil for
-// errors without one (unknown workload, audit violations, ...).
+// (ErrCellTimeout, ErrCellPanic, or ErrCanceled), or nil for errors without
+// one (unknown workload, audit violations, ...).
 func CellErrorCode(err error) error {
 	for _, code := range cellCodes {
 		if errors.Is(err, code) {
@@ -56,43 +53,17 @@ func CellErrorCode(err error) error {
 }
 
 // CellErrorCodeName returns a stable lowercase name for the cell failure
-// code carried by err ("timeout", "panic", "transient", "canceled"), or ""
-// when err carries none. The serving layer exposes this in its wire schema.
+// code carried by err ("timeout", "panic", "canceled"), or "" when err
+// carries none. The serving layer exposes this in its wire schema.
 func CellErrorCodeName(err error) string {
 	switch CellErrorCode(err) {
 	case ErrCellTimeout:
 		return "timeout"
 	case ErrCellPanic:
 		return "panic"
-	case ErrTransient:
-		return "transient"
 	case ErrCanceled:
 		return "canceled"
 	default:
 		return ""
 	}
-}
-
-// isTransient reports whether err (or anything it wraps, through single or
-// multi-error unwrapping) marks itself retryable via a `Transient() bool`
-// method. Simulator faults and audit violations are deterministic and never
-// match.
-func isTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if t, ok := err.(interface{ Transient() bool }); ok && t.Transient() {
-		return true
-	}
-	switch u := err.(type) {
-	case interface{ Unwrap() error }:
-		return isTransient(u.Unwrap())
-	case interface{ Unwrap() []error }:
-		for _, e := range u.Unwrap() {
-			if isTransient(e) {
-				return true
-			}
-		}
-	}
-	return false
 }

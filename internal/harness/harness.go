@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -143,13 +144,13 @@ func (k runKey) String() string {
 // flight is one single-flight cache entry: the first requester simulates,
 // every later requester blocks on done. Exactly one of res/err is set once
 // done is closed. obs carries the cell's recorded observability data (nil
-// when metrics are off); prof its wall-clock profile.
+// when metrics are off); wallNS its wall-clock execution time.
 type flight struct {
-	done chan struct{}
-	res  *system.Result
-	obs  *metrics.Data
-	prof cellProfile
-	err  error
+	done   chan struct{}
+	res    *system.Result
+	obs    *metrics.Data
+	wallNS int64
+	err    error
 }
 
 // Runner memoizes simulation results behind a single-flight cache and a
@@ -169,7 +170,7 @@ type Runner struct {
 	// reqCtx, when non-nil, is this view's request-scoped context
 	// (WithContext): it gates the cells this view starts and bounds how
 	// long this view's callers wait on in-flight cells. Nil on the base
-	// runner, which uses the SetContext context instead.
+	// runner, which uses the policy's Context instead.
 	reqCtx context.Context
 }
 
@@ -178,8 +179,10 @@ type Runner struct {
 type runnerState struct {
 	mu    sync.Mutex
 	cache map[runKey]*flight
-	// sem bounds the number of simulations executing at once (SetJobs).
-	sem chan struct{}
+	// policy is the execution policy (Configure); sem is the worker pool
+	// it sizes. runCell reads both once per cell.
+	policy ExecOptions
+	sem    chan struct{}
 	// runs counts completed simulations; done counts settled cells
 	// (including failed ones) for progress reporting.
 	runs    int
@@ -194,38 +197,17 @@ type runnerState struct {
 	planning  bool
 	planOrder []runKey
 
-	// Resilience knobs (SetContext, SetCellTimeout, SetRetries,
-	// SetCellHook, AttachCheckpoint). ctx gates *starting* cells — a
-	// canceled context drains the pool gracefully: in-flight cells finish
-	// (and checkpoint), queued ones fail fast with ctx's error.
-	ctx          context.Context
-	cellTimeout  time.Duration
-	retries      int
-	retryBackoff time.Duration
 	// cellHook, when set, runs at the top of every cell attempt (inside
 	// the watchdogged goroutine); a non-nil error fails the attempt. It
 	// exists for fault injection (internal/faults.CellInjector).
 	cellHook func(cellKey string) error
-	// cellObserver, when set, is called once per settled cell with the
-	// cell's key and final error (nil on success), after the outcome is
-	// recorded but before waiters are released. The serving layer feeds
-	// its circuit breaker from it. It must not call back into the Runner's
-	// cell path (Result/get); cache-surgery methods like EvictFailed are
-	// safe.
-	cellObserver func(cellKey string, err error)
 	// cellTelemetry, when set, is called once per settled cell with the
 	// full settlement record (key, wall time, store-vs-fresh provenance,
-	// final error), right after cellObserver. The serving layer feeds its
-	// /metrics instruments from it. Same contract as cellObserver: it must
-	// not re-enter the runner's cell path.
+	// final error), after the outcome is recorded but before waiters are
+	// released. The serving layer feeds its circuit breaker and /metrics
+	// instruments from it. It must not call back into the Runner's cell
+	// path (Result/get).
 	cellTelemetry func(CellSettlement)
-	// evictFailed, when true, removes failed cells from the cache once
-	// they settle so a later request re-attempts them. The batch CLI keeps
-	// failures memoized (a sweep should fail each cell once); a long-lived
-	// service evicts them and relies on its circuit breaker to bound
-	// re-attempt storms. Cells canceled before starting are always
-	// evicted, in every mode.
-	evictFailed bool
 	// checkpoint, when attached, is consulted before simulating a cell and
 	// updated after each success.
 	checkpoint *Checkpoint
@@ -241,8 +223,9 @@ type runnerState struct {
 	warmHolds map[runKey]warmHold
 }
 
-// NewRunner builds a Runner over a configuration. The worker pool defaults
-// to a single job; RunExperiments (or SetJobs) widens it.
+// NewRunner builds a Runner over a configuration. Its policy starts as a
+// single job with no context, watchdog, or failure eviction; Configure (or
+// RunExperiments) replaces it.
 func NewRunner(cfg Config) *Runner {
 	if len(cfg.Workloads) == 0 {
 		cfg.Workloads = trace.Names()
@@ -257,12 +240,12 @@ func NewRunner(cfg Config) *Runner {
 		cfg.Window = 150 * engine.Microsecond
 	}
 	r := &Runner{Cfg: cfg, runnerState: &runnerState{cache: make(map[runKey]*flight)}}
-	r.SetJobs(1)
+	r.Configure(ExecOptions{Jobs: 1})
 	return r
 }
 
 // WithContext returns a request-scoped view of the runner. The view shares
-// the cell cache, worker pool, resilience knobs, and checkpoint with the
+// the cell cache, worker pool, execution policy, and checkpoint with the
 // receiver, but ctx gates the cells the view starts and bounds how long the
 // view's callers wait on in-flight cells: when ctx is done, waits return an
 // ErrCanceled-coded error while the underlying simulations keep running for
@@ -274,14 +257,14 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 }
 
 // callCtx resolves the context gating this view's cell starts and waits:
-// the view's request context when set, else the SetContext context, else
+// the view's request context when set, else the policy's Context, else
 // Background.
 func (r *Runner) callCtx() context.Context {
 	if r.reqCtx != nil {
 		return r.reqCtx
 	}
 	r.mu.Lock()
-	ctx := r.ctx
+	ctx := r.policy.Context
 	r.mu.Unlock()
 	if ctx == nil {
 		ctx = context.Background()
@@ -289,65 +272,31 @@ func (r *Runner) callCtx() context.Context {
 	return ctx
 }
 
-// SetJobs bounds how many simulations may execute concurrently. Values
-// below 1 are clamped to 1. Resizing does not affect cells already running.
-func (r *Runner) SetJobs(n int) {
-	if n < 1 {
-		n = 1
+// Configure replaces the runner's execution policy (see ExecOptions; Jobs
+// <= 0 means GOMAXPROCS, and Progress is ignored: it belongs to one
+// RunExperiments call). A cell reads the policy once, as it starts, so
+// cells already running keep the policy they started under.
+func (r *Runner) Configure(opts ExecOptions) {
+	if opts.Jobs <= 0 {
+		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
+	opts.Progress = nil
 	r.mu.Lock()
-	r.sem = make(chan struct{}, n)
-	r.mu.Unlock()
-}
-
-// SetContext installs the context that gates cell starts. Canceling it
-// drains the pool gracefully: running cells complete (and checkpoint), cells
-// not yet started fail fast carrying ctx's error, and partial results remain
-// exportable.
-func (r *Runner) SetContext(ctx context.Context) {
-	r.mu.Lock()
-	r.ctx = ctx
-	r.mu.Unlock()
-}
-
-// SetCellTimeout arms the per-cell watchdog: an attempt that produces no
-// result within d is abandoned (its worker slot is released and the cell
-// fails with a timeout error). Zero disables the watchdog.
-func (r *Runner) SetCellTimeout(d time.Duration) {
-	r.mu.Lock()
-	r.cellTimeout = d
-	r.mu.Unlock()
-}
-
-// SetRetries allows up to n retries of a cell whose failure is transient
-// (an error exposing `Transient() bool`), with linear backoff (attempt *
-// backoff) between attempts. Deterministic failures are never retried.
-func (r *Runner) SetRetries(n int, backoff time.Duration) {
-	r.mu.Lock()
-	r.retries = n
-	r.retryBackoff = backoff
+	r.policy = opts
+	r.sem = make(chan struct{}, opts.Jobs)
 	r.mu.Unlock()
 }
 
 // SetCellHook installs a hook run at the top of every cell attempt; a
 // non-nil error (or a panic) fails the attempt. Fault-injection tests use it
-// to script panics, hangs, and transient errors into the pool.
+// to script panics, hangs, and errors into the pool.
 func (r *Runner) SetCellHook(h func(cellKey string) error) {
 	r.mu.Lock()
 	r.cellHook = h
 	r.mu.Unlock()
 }
 
-// SetCellObserver installs an observer called once per settled cell with
-// the cell's key and final error (nil on success), before waiters are
-// released. The observer must not re-enter the runner's cell path.
-func (r *Runner) SetCellObserver(obs func(cellKey string, err error)) {
-	r.mu.Lock()
-	r.cellObserver = obs
-	r.mu.Unlock()
-}
-
-// CellSettlement describes one settled cell to the telemetry hook: the
+// CellSettlement describes one settled cell to the settlement hook: the
 // cell's key, how long it executed and how long it queued (wall clock —
 // profiling data, never exported deterministically), whether the result was
 // restored from the durable store rather than simulated, whether it was
@@ -366,54 +315,14 @@ type CellSettlement struct {
 	Err       error
 }
 
-// SetCellTelemetry installs a telemetry hook called once per settled cell,
-// after the cell observer. The hook must be fast and must not re-enter the
-// runner's cell path; it exists so the serving layer can count cells and
-// time distributions without a second bookkeeping path in the runner.
+// SetCellTelemetry installs the settlement hook, called once per settled
+// cell before waiters are released. The hook must be fast and must not
+// re-enter the runner's cell path; the serving layer feeds its circuit
+// breaker and its metrics from it.
 func (r *Runner) SetCellTelemetry(fn func(CellSettlement)) {
 	r.mu.Lock()
 	r.cellTelemetry = fn
 	r.mu.Unlock()
-}
-
-// SetEvictFailedCells selects the failure-memoization policy. When true,
-// failed cells are removed from the cache as they settle, so a later
-// request re-attempts them — the policy a long-lived service wants, with a
-// circuit breaker bounding re-attempt storms. When false (the default), a
-// failure is memoized like a success, so a batch sweep fails each broken
-// cell exactly once.
-func (r *Runner) SetEvictFailedCells(on bool) {
-	r.mu.Lock()
-	r.evictFailed = on
-	r.mu.Unlock()
-}
-
-// EvictFailed removes settled failed cells whose key (runKey.String form)
-// satisfies match from the cache, so later requests re-attempt them, and
-// reports how many were evicted. In-flight and successful cells are never
-// touched. A nil match evicts every settled failure.
-func (r *Runner) EvictFailed(match func(cellKey string) bool) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for k, f := range r.cache {
-		if f.done == nil {
-			continue // planning entry
-		}
-		select {
-		case <-f.done:
-		default:
-			continue // still running
-		}
-		if f.err == nil {
-			continue
-		}
-		if match == nil || match(k.String()) {
-			delete(r.cache, k)
-			n++
-		}
-	}
-	return n
 }
 
 // AttachCheckpoint makes the runner consult cp before simulating any cell
@@ -532,16 +441,23 @@ func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 }
 
 // runCell executes one cell: checkpoint restore, graceful-drain gate, worker
-// slot, then watchdogged attempts with transient-failure retry. Panics are
-// captured (with stack) so a failing cell reports its key instead of
-// crashing the process. ctx is the starter's context: it gates the start,
-// the retry backoff, and (with the watchdog) attempt abandonment.
+// slot, then one watchdogged attempt. Panics are captured (with stack) so a
+// failing cell reports its key instead of crashing the process. ctx is the
+// starter's context: it gates the start and (with the watchdog) attempt
+// abandonment.
 func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
+	// The cell's whole policy, read once.
+	r.mu.Lock()
+	pol, sem := r.policy, r.sem
+	hook, settle := r.cellHook, r.cellTelemetry
+	cp, remote := r.checkpoint, r.remote
+	r.mu.Unlock()
+
 	defer close(f.done)
 	defer r.noteSettled()
-	// Wall time and peak RSS are profiling data, kept strictly outside the
-	// deterministic exports (ExportJSON never reads them). start marks the
-	// beginning of execution; slotted moves it past the queue wait.
+	// Wall time is profiling data, kept strictly outside the deterministic
+	// exports (ExportJSON never reads it). start marks the beginning of
+	// execution; slotted moves it past the queue wait.
 	//lint:ignore determinism per-cell wall-clock profiling, never feeds simulated state or deterministic exports
 	start := time.Now()
 	var queueNS int64
@@ -553,33 +469,25 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	}
 	fromStore := false
 	viaRemote := false
-	// Settlement bookkeeping: record the profiling row, evict canceled (and,
-	// in service mode, failed) cells so a later request re-attempts them,
-	// drop the cell's WarmState references, and notify the observers. One
-	// defer, not several: the profile must be finalized before the observers
-	// run, and stacked defers would execute in the wrong (LIFO) order. Runs
-	// after the recover below finalizes f.err, before waiters wake.
+	// Settlement bookkeeping: record the wall time, evict canceled (and, in
+	// service mode, failed) cells so a later request re-attempts them, drop
+	// the cell's WarmState references, and call the settlement hook. One
+	// defer, not several: the wall time must be final before the hook runs,
+	// and stacked defers would execute in the wrong (LIFO) order. Runs after
+	// the recover below finalizes f.err, before waiters wake.
 	defer func() {
-		f.prof = cellProfile{
-			WallNS:    time.Since(start).Nanoseconds(),
-			PeakRSSKB: peakRSSKB(),
-		}
+		f.wallNS = time.Since(start).Nanoseconds()
 		r.mu.Lock()
-		evict := f.err != nil && (r.evictFailed || errors.Is(f.err, ErrCanceled))
+		evict := f.err != nil && (pol.EvictFailed || errors.Is(f.err, ErrCanceled))
 		if evict && r.cache[key] == f {
 			delete(r.cache, key)
 		}
 		r.releaseWarmLocked(key)
-		obs := r.cellObserver
-		tel := r.cellTelemetry
 		r.mu.Unlock()
-		if obs != nil {
-			obs(key.String(), f.err)
-		}
-		if tel != nil {
-			tel(CellSettlement{
+		if settle != nil {
+			settle(CellSettlement{
 				Key:       key.String(),
-				WallNS:    f.prof.WallNS,
+				WallNS:    f.wallNS,
 				QueueNS:   queueNS,
 				FromStore: fromStore,
 				Remote:    viaRemote,
@@ -594,14 +502,6 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 			f.res = nil
 		}
 	}()
-
-	r.mu.Lock()
-	sem := r.sem
-	timeout := r.cellTimeout
-	retries, backoff := r.retries, r.retryBackoff
-	cp := r.checkpoint
-	remote := r.remote
-	r.mu.Unlock()
 
 	if cp != nil {
 		if res, obs, ok := cp.Load(key); ok {
@@ -665,45 +565,17 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	// the checkpoint by remoteCell, so the local Store below is skipped.
 	if remote != nil {
 		viaRemote = true
-		res, obs, err := r.remoteCell(attemptCtx, key, remote, cp)
-		if err != nil {
-			f.err = err
-			return
-		}
-		f.res = res
-		f.obs = obs
+		f.res, f.obs, f.err = r.remoteCell(attemptCtx, key, remote, cp)
 		return
 	}
 
-	var res *system.Result
-	var obs *metrics.Data
-	for attempt := 1; ; attempt++ {
-		var err error
-		res, obs, err = r.attemptCell(attemptCtx, key, timeout, ws, claim)
-		if err == nil {
-			break
-		}
-		if isTransient(err) && attempt <= retries && ctx.Err() == nil {
-			if backoff > 0 {
-				select {
-				case <-time.After(time.Duration(attempt) * backoff):
-				case <-ctx.Done():
-				}
-			}
-			continue
-		}
-		if isTransient(err) {
-			err = withCode(ErrTransient, err)
-		}
+	res, obs, err := r.attemptCell(attemptCtx, key, pol.CellTimeout, hook, ws, claim)
+	if err == nil && cp != nil {
+		err = cp.Store(key, res, obs)
+	}
+	if err != nil {
 		f.err = err
 		return
-	}
-
-	if cp != nil {
-		if err := cp.Store(key, res, obs); err != nil {
-			f.err = err
-			return
-		}
 	}
 	f.res = res
 	f.obs = obs
@@ -717,14 +589,11 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 // the sweep. The abandoned goroutine's eventual result, if any, lands in a
 // buffered channel and is discarded. The starter's context composes with
 // the watchdog: whichever fires first abandons the attempt, so a request
-// deadline bounds cell execution even without -cell-timeout. ws and claim
-// are the cell's shared warmup (see simulate).
+// deadline bounds cell execution even without -cell-timeout. hook is the
+// cell hook (nil = none); ws and claim are the cell's shared warmup (see
+// simulate).
 func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration,
-	ws *system.WarmState, claim *warmClaim) (*system.Result, *metrics.Data, error) {
-	r.mu.Lock()
-	hook := r.cellHook
-	r.mu.Unlock()
-
+	hook func(cellKey string) error, ws *system.WarmState, claim *warmClaim) (*system.Result, *metrics.Data, error) {
 	type outcome struct {
 		res *system.Result
 		obs *metrics.Data

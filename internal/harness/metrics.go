@@ -3,10 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"dylect/internal/metrics"
 )
@@ -92,63 +89,28 @@ func (r *Runner) ExportTraceJSON() ([]byte, error) {
 	return metrics.MarshalTrace(cells)
 }
 
-// ProfileRow is one cell's wall-clock profile. PeakRSSKB is the process
-// high-water mark at cell completion (from /proc/self/status), so it is
-// monotone across rows rather than per-cell-exclusive.
+// ProfileRow is one cell's wall-clock profile.
 type ProfileRow struct {
-	Cell      string  `json:"cell"`
-	Key       string  `json:"key"`
-	WallMS    float64 `json:"wallMS"`
-	PeakRSSKB uint64  `json:"peakRSSKB"`
+	Cell   string  `json:"cell"`
+	Key    string  `json:"key"`
+	WallMS float64 `json:"wallMS"`
 }
 
 // ExportProfileJSON serializes per-cell wall time (execution from the moment
-// the cell held a worker slot; queue wait excluded) and peak RSS. This export
-// is intentionally separate from ExportJSON: wall time varies run to run,
-// and mixing it into the deterministic export would break byte-compare
+// the cell held a worker slot; queue wait excluded). This export is
+// intentionally separate from ExportJSON: wall time varies run to run, and
+// mixing it into the deterministic export would break byte-compare
 // guarantees.
 func (r *Runner) ExportProfileJSON() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := []ProfileRow{}
 	for _, k := range r.completedKeysLocked() {
-		f := r.cache[k]
 		out = append(out, ProfileRow{
-			Cell:      k.String(),
-			Key:       k.fileKey(),
-			WallMS:    float64(f.prof.WallNS) / 1e6,
-			PeakRSSKB: f.prof.PeakRSSKB,
+			Cell:   k.String(),
+			Key:    k.fileKey(),
+			WallMS: float64(r.cache[k].wallNS) / 1e6,
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// cellProfile is the per-cell profiling record kept on a flight.
-type cellProfile struct {
-	WallNS    int64
-	PeakRSSKB uint64
-}
-
-// peakRSSKB reads the process peak resident set size (VmHWM) from
-// /proc/self/status, in KB; 0 when unavailable (non-Linux).
-func peakRSSKB() uint64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb
-	}
-	return 0
 }

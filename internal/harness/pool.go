@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -30,13 +29,15 @@ import (
 // key plus the Runner config, independent of scheduling. pool_test.go pins
 // this with a jobs=1 vs jobs=N byte-equivalence test.
 
-// ExecOptions configures a parallel experiment run.
+// ExecOptions is the runner's execution policy. Configure installs it;
+// RunExperiments installs it for a batch run.
 type ExecOptions struct {
 	// Jobs bounds concurrent simulations; <=0 means GOMAXPROCS.
 	Jobs int
 	// Progress, when set, is called after each cell settles with the
 	// number of settled cells and the planned total. Calls are serialized;
-	// the callback must not call back into the Runner.
+	// the callback must not call back into the Runner. It belongs to one
+	// RunExperiments call; Configure ignores it.
 	Progress func(done, total int)
 	// Context, when set, gates cell starts: canceling it drains the pool
 	// gracefully (running cells finish and checkpoint, queued cells fail
@@ -44,10 +45,13 @@ type ExecOptions struct {
 	Context context.Context
 	// CellTimeout arms the per-cell watchdog (0 = no watchdog).
 	CellTimeout time.Duration
-	// Retries bounds per-cell retries of transient failures, spaced by
-	// attempt*RetryBackoff.
-	Retries      int
-	RetryBackoff time.Duration
+	// EvictFailed selects the failure-memoization policy. When true, failed
+	// cells are removed from the cache as they settle, so a later request
+	// re-attempts them — the policy a long-lived service wants, with a
+	// circuit breaker bounding re-attempt storms. When false, a failure is
+	// memoized like a success, so a batch sweep fails each broken cell
+	// exactly once. Cells canceled before starting are always evicted.
+	EvictFailed bool
 }
 
 // ExperimentOutput is one experiment's outcome from RunExperiments.
@@ -60,28 +64,14 @@ type ExperimentOutput struct {
 }
 
 // RunExperiments executes the selected experiments over the runner's
-// configuration with up to opts.Jobs concurrent simulations. Outputs are
+// configuration under opts, which becomes the runner's policy. Outputs are
 // returned in registration order. A cell that fails (unknown workload,
 // simulator panic) fails the experiments that need it — with the offending
 // cell's key in the error — without crashing the process or aborting
 // unrelated experiments. The returned error joins all per-experiment
 // failures.
 func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]ExperimentOutput, error) {
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	r.SetJobs(jobs)
-	if opts.Context != nil {
-		r.SetContext(opts.Context)
-	}
-	if opts.CellTimeout > 0 {
-		r.SetCellTimeout(opts.CellTimeout)
-	}
-	if opts.Retries > 0 {
-		r.SetRetries(opts.Retries, opts.RetryBackoff)
-	}
-
+	r.Configure(opts)
 	plan := planCells(r.Cfg, exps)
 	r.mu.Lock()
 	// Planned total = cells already settled plus planned cells not yet
@@ -96,10 +86,30 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 	r.planned = r.done + fresh
 	r.onProgress = opts.Progress
 	r.mu.Unlock()
-	r.holdWarm(plan)
 
-	// Warm every planned cell. Cells an experiment needs beyond the plan
-	// (a planning miss) are still simulated lazily and merely lose overlap.
+	outs := runPlan(r, plan, exps)
+
+	r.mu.Lock()
+	r.onProgress = nil
+	r.mu.Unlock()
+
+	var errs []error
+	for i := range outs {
+		if outs[i].Err != nil {
+			errs = append(errs, outs[i].Err)
+		}
+	}
+	return outs, errors.Join(errs...)
+}
+
+// runPlan executes exps over a precomputed plan: it takes the plan's
+// WarmState references, starts every planned cell through the single-flight
+// cache so a run's cells overlap regardless of experiment structure, and
+// runs the experiments concurrently. Cells an experiment needs beyond the
+// plan (a planning miss) are still simulated lazily and merely lose
+// overlap. Outputs are in the order of exps.
+func runPlan(r *Runner, plan []runKey, exps []Experiment) []ExperimentOutput {
+	r.holdWarm(plan)
 	var warm sync.WaitGroup
 	for _, key := range plan {
 		warm.Add(1)
@@ -133,18 +143,7 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 	}
 	wg.Wait()
 	warm.Wait()
-
-	r.mu.Lock()
-	r.onProgress = nil
-	r.mu.Unlock()
-
-	var errs []error
-	for i := range outs {
-		if outs[i].Err != nil {
-			errs = append(errs, outs[i].Err)
-		}
-	}
-	return outs, errors.Join(errs...)
+	return outs
 }
 
 // planCells dry-runs the experiments against a planning runner sharing cfg
@@ -172,7 +171,7 @@ type PlannedCell struct {
 	Design   string
 	Setting  string
 	// Cell is the human-readable cell key (runKey.String form) — the same
-	// string cell errors, the cell hook, and the cell observer carry.
+	// string cell errors, the cell hook, and the settlement hook carry.
 	Cell string
 }
 
@@ -220,51 +219,14 @@ func (r *Runner) FreshCost(exps []Experiment) int {
 	return fresh
 }
 
-// RunShared executes experiments against a runner view without mutating any
-// runner-global knob: no worker-pool resize, no global context, no progress
-// rewiring. It is the request-scoped counterpart of RunExperiments for a
-// long-lived service where many requests share one memoizing runner — each
-// request wraps the shared runner with WithContext and calls RunShared, so
-// its deadline gates only its own cells and waits. Outputs are returned in
-// the given order; per-experiment failures are reported in the outputs, not
-// joined into a process-level error.
+// RunShared executes experiments against a runner view without touching
+// the runner's policy or progress wiring. It is the request-scoped
+// counterpart of RunExperiments for a long-lived service where many
+// requests share one memoizing runner — each request wraps the shared
+// runner with WithContext and calls RunShared, so its deadline gates only
+// its own cells and waits. Outputs are returned in the given order;
+// per-experiment failures are reported in the outputs, not joined into a
+// process-level error.
 func RunShared(r *Runner, exps []Experiment) []ExperimentOutput {
-	// Warm every planned cell through the shared single-flight cache so a
-	// request's cells overlap regardless of experiment structure.
-	plan := planCells(r.Cfg, exps)
-	r.holdWarm(plan)
-	var warm sync.WaitGroup
-	for _, key := range plan {
-		warm.Add(1)
-		go func(key runKey) {
-			defer warm.Done()
-			// Errors surface through the experiments that need the cell.
-			_, _ = r.result(key)
-		}(key)
-	}
-
-	outs := make([]ExperimentOutput, len(exps))
-	var wg sync.WaitGroup
-	for i, e := range exps {
-		outs[i].Experiment = e
-		wg.Add(1)
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			defer func() {
-				p := recover()
-				if p == nil {
-					return
-				}
-				if ce, ok := p.(cellError); ok {
-					outs[i].Err = fmt.Errorf("experiment %s: %w", e.Name, ce.err)
-					return
-				}
-				outs[i].Err = fmt.Errorf("experiment %s: panic: %v", e.Name, p)
-			}()
-			outs[i].Blocks = e.Run(r)
-		}(i, e)
-	}
-	wg.Wait()
-	warm.Wait()
-	return outs
+	return runPlan(r, planCells(r.Cfg, exps), exps)
 }

@@ -5,30 +5,26 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"dylect/internal/faults"
 	"dylect/internal/system"
 )
 
-// TestThreeWayCancelTimeoutRetryRace drives the pool's three resilience
-// mechanisms into the same cell at once: the first attempt fails transient
-// (arming retry backoff), later attempts hang (arming the per-cell
-// watchdog), and the runner context is canceled at a sweep of offsets that
-// land before the start gate, inside the retry backoff, and inside the hung
-// attempt. PR 4's tests cover these mechanisms pairwise; this is the
-// three-way composition, run with concurrent waiters so the single-flight
-// wait path races too (the suite runs under -race in CI). Whatever
-// interleaving wins, every requester must get a coded error within a
-// bounded time — no deadlock, no uncoded failure, no false success.
+// TestThreeWayCancelTimeoutRetryRace drives the pool's cancellation and
+// watchdog mechanisms into the same cell at once, with concurrent waiters
+// racing the single-flight wait path (the suite runs under -race in CI):
+// every attempt hangs (arming the per-cell watchdog), and the runner
+// context is canceled at a sweep of offsets that land before the start
+// gate, inside the hung attempt, and after the watchdog has fired.
+// Whatever interleaving wins, every requester must get a coded error within
+// a bounded time — no deadlock, no uncoded failure, no false success.
 func TestThreeWayCancelTimeoutRetryRace(t *testing.T) {
 	offsets := []time.Duration{
 		0,                      // cancel before anything starts
-		2 * time.Millisecond,   // usually inside attempt 1 / retry backoff
-		6 * time.Millisecond,   // usually inside the retry backoff
-		12 * time.Millisecond,  // usually inside the hung attempt 2
+		2 * time.Millisecond,   // usually inside the hung attempt
+		6 * time.Millisecond,   // usually inside the hung attempt
+		12 * time.Millisecond,  // usually just after the watchdog fired
 		100 * time.Millisecond, // after the watchdog has fired
 	}
 	for _, cancelAfter := range offsets {
@@ -37,23 +33,17 @@ func TestThreeWayCancelTimeoutRetryRace(t *testing.T) {
 			release := make(chan struct{})
 			t.Cleanup(func() { close(release) })
 
-			var attempts atomic.Int32
 			r.SetCellHook(func(cellKey string) error {
-				if attempts.Add(1) == 1 {
-					return faults.Transient{Msg: "injected transient"}
-				}
 				// Hang until test cleanup; the watchdog abandons us. The
-				// post-release transient keeps the abandoned goroutine from
+				// post-release error keeps the abandoned goroutine from
 				// running a full simulation in the background.
 				<-release
-				return faults.Transient{Msg: "released after abandonment"}
+				return errors.New("released after abandonment")
 			})
-			r.SetRetries(3, 5*time.Millisecond)
-			r.SetCellTimeout(10 * time.Millisecond)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			r.SetContext(ctx)
+			r.Configure(ExecOptions{Jobs: 1, Context: ctx, CellTimeout: 10 * time.Millisecond})
 			time.AfterFunc(cancelAfter, cancel)
 
 			// Four concurrent requesters: one becomes the starter, the rest
@@ -72,7 +62,7 @@ func TestThreeWayCancelTimeoutRetryRace(t *testing.T) {
 			select {
 			case <-done:
 			case <-time.After(30 * time.Second):
-				t.Fatal("pool deadlocked under cancel+timeout+retry contention")
+				t.Fatal("pool deadlocked under cancel+timeout contention")
 			}
 
 			for i, err := range errs {
@@ -96,7 +86,7 @@ func TestViewDeadlineAbandonsWaitButNotSimulation(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	r := NewRunner(microConfig())
-	r.SetJobs(2)
+	r.Configure(ExecOptions{Jobs: 2})
 
 	started := make(chan struct{})
 	var once sync.Once

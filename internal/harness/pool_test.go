@@ -37,7 +37,7 @@ func TestSingleFlightExactlyOneRunPerKey(t *testing.T) {
 	cfg.WarmupAccesses = 5_000
 	cfg.Window = 5 * engine.Microsecond
 	r := NewRunner(cfg)
-	r.SetJobs(4)
+	r.Configure(ExecOptions{Jobs: 4})
 
 	designs := []struct {
 		d system.Design

@@ -189,8 +189,8 @@ func (r *Runner) remoteCell(ctx context.Context, key runKey, exec RemoteExecutor
 }
 
 // ExecuteCell runs one remotely-requested cell through the normal
-// single-flight path — jobs semaphore, watchdog, retries, checkpoint,
-// observers all apply — and returns its canonical payload bytes. It is the
+// single-flight path — jobs semaphore, watchdog, checkpoint, settlement
+// hook all apply — and returns its canonical payload bytes. It is the
 // worker-side entry point of the fabric protocol; ctx bounds the wait the
 // same way a request-scoped view's context does.
 func (r *Runner) ExecuteCell(ctx context.Context, spec CellSpec) ([]byte, error) {

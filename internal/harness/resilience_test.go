@@ -18,11 +18,11 @@ import (
 // released so other cells still run.
 func TestWatchdogAbandonsHungCell(t *testing.T) {
 	r := NewRunner(microConfig())
-	r.SetJobs(1) // a leaked slot would deadlock the follow-up cell
 	ci := faults.NewCellInjector()
 	ci.Script("omnetpp/tmcc/high", faults.CellSpec{Kind: faults.CellHang}) // hangs forever
 	r.SetCellHook(ci.Hook)
-	r.SetCellTimeout(150 * time.Millisecond)
+	// One job: a leaked slot would deadlock the follow-up cell.
+	r.Configure(ExecOptions{Jobs: 1, CellTimeout: 150 * time.Millisecond})
 
 	start := time.Now()
 	_, err := r.Result("omnetpp", system.DesignTMCC, system.SettingHigh)
@@ -48,69 +48,19 @@ func TestWatchdogAbandonsHungCell(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	r.SetCellTimeout(0)
+	r.Configure(ExecOptions{Jobs: 1})
 	if _, err := r.Result("omnetpp", system.DesignNoComp, system.SettingNone); err != nil {
 		t.Fatalf("pool wedged after watchdog abandonment: %v", err)
 	}
 }
 
-// TestTransientRetrySucceeds scripts two transient failures before success
-// and checks bounded retry recovers the cell, with the scripted number of
-// attempts.
-func TestTransientRetrySucceeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	r := NewRunner(microConfig())
-	ci := faults.NewCellInjector()
-	ci.Script("omnetpp/tmcc/high", faults.CellSpec{Kind: faults.CellTransient, Fail: 2})
-	r.SetCellHook(ci.Hook)
-	r.SetRetries(3, time.Millisecond)
-
-	res, err := r.Result("omnetpp", system.DesignTMCC, system.SettingHigh)
-	if err != nil {
-		t.Fatalf("retry did not recover the transient failure: %v", err)
-	}
-	if res == nil || res.Insts == 0 {
-		t.Fatal("recovered cell has no result")
-	}
-	if got := ci.Attempts("omnetpp/tmcc/high"); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (2 failures + 1 success)", got)
-	}
-}
-
-// TestTransientRetryBudgetExhausted: with fewer retries than scripted
-// failures the cell fails, and the error still reads as transient.
-func TestTransientRetryBudgetExhausted(t *testing.T) {
-	r := NewRunner(microConfig())
-	ci := faults.NewCellInjector()
-	ci.Script("omnetpp/tmcc/high", faults.CellSpec{Kind: faults.CellTransient, Fail: 5})
-	r.SetCellHook(ci.Hook)
-	r.SetRetries(1, time.Millisecond)
-
-	_, err := r.Result("omnetpp", system.DesignTMCC, system.SettingHigh)
-	if err == nil {
-		t.Fatal("cell succeeded despite unexhausted transient failures")
-	}
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("exhausted retry not classified as ErrTransient: %v", err)
-	}
-	if !isTransient(err) {
-		t.Fatalf("Transient() marker lost through wrapping: %v", err)
-	}
-	if got := ci.Attempts("omnetpp/tmcc/high"); got != 2 {
-		t.Fatalf("attempts = %d, want 2 (initial + 1 retry)", got)
-	}
-}
-
-// TestDeterministicFailureNotRetried: injected panics are not transient and
-// must not consume the retry budget; the error carries the recovered stack.
+// TestDeterministicFailureNotRetried: a panicking cell runs exactly once and
+// its error carries the recovered stack.
 func TestDeterministicFailureNotRetried(t *testing.T) {
 	r := NewRunner(microConfig())
 	ci := faults.NewCellInjector()
 	ci.Script("omnetpp/tmcc/high", faults.CellSpec{Kind: faults.CellPanic, Fail: 10})
 	r.SetCellHook(ci.Hook)
-	r.SetRetries(3, time.Millisecond)
 
 	_, err := r.Result("omnetpp", system.DesignTMCC, system.SettingHigh)
 	if err == nil {
@@ -139,7 +89,7 @@ func TestGracefulDrainPartialExport(t *testing.T) {
 	}
 	r := NewRunner(microConfig())
 	ctx, cancel := context.WithCancel(context.Background())
-	r.SetContext(ctx)
+	r.Configure(ExecOptions{Jobs: 1, Context: ctx})
 
 	if _, err := r.Result("omnetpp", system.DesignTMCC, system.SettingHigh); err != nil {
 		t.Fatalf("pre-cancel cell failed: %v", err)

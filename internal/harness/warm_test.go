@@ -134,7 +134,7 @@ func TestWarmWaiterHoldsNoSlot(t *testing.T) {
 	cfg.WarmupAccesses = 5_000
 	cfg.Window = 5 * engine.Microsecond
 	r := NewRunner(cfg)
-	r.SetJobs(2)
+	r.Configure(ExecOptions{Jobs: 2})
 	a1, a2, b := warmKeys(t, r)
 	bDone := make(chan struct{})
 	computing := make(chan struct{})

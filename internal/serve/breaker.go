@@ -20,9 +20,10 @@ import (
 // cooldown one probe request is let through. A successful probe closes the
 // class; a failed probe reopens it with the cooldown doubled (capped).
 //
-// Transient failures and cancellations are not evidence of a broken class —
-// retry and deadlines own those — so they never trip the breaker; during a
-// probe they merely return the class to the probe-eligible half-open state.
+// Uncoded failures and cancellations are not evidence of a broken class —
+// eviction and deadlines own those — so they never trip the breaker; during
+// a probe they merely return the class to the probe-eligible half-open
+// state.
 
 // BreakerConfig tunes the per-class circuit breaker.
 type BreakerConfig struct {
@@ -196,11 +197,11 @@ func (b *Breaker) AllowAll(classes []string) (ok bool, retryAfter time.Duration)
 	return true, 0
 }
 
-// Report feeds one settled cell into the breaker; the server installs it as
-// the shared runner's cell observer. Only hard failures — panics and
+// Report feeds one settled cell into the breaker; the server calls it from
+// the shared runner's settlement hook. Only hard failures — panics and
 // watchdog timeouts — count toward opening; a success closes a probing
-// class and resets its failure count; transient/canceled outcomes resolve a
-// probe without judging the class.
+// class and resets its failure count; other failures (uncoded errors,
+// cancellations) resolve a probe without judging the class.
 func (b *Breaker) Report(cellKey string, err error) {
 	class := ClassOf(cellKey)
 	b.mu.Lock()
@@ -244,7 +245,7 @@ func (b *Breaker) Report(cellKey string, err error) {
 		}
 
 	default:
-		// Transient or canceled: no verdict on the class, but a probe that
+		// Uncoded or canceled: no verdict on the class, but a probe that
 		// ended this way must free the half-open slot for the next probe.
 		c.probing = false
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func TestBreakerOpensAfterThresholdAndBacksOff(t *testing.T) {
 func TestBreakerIgnoresSoftFailures(t *testing.T) {
 	clk := newFakeClock()
 	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second}, clk.Now)
-	report(b, "omnetpp/tmcc/high", harness.ErrTransient, 5)
+	report(b, "omnetpp/tmcc/high", errors.New("uncoded failure"), 5)
 	report(b, "omnetpp/tmcc/high", harness.ErrCanceled, 5)
 	if b.State("omnetpp/tmcc") != "closed" {
 		t.Fatalf("soft failures opened the class: %s", b.State("omnetpp/tmcc"))
@@ -123,7 +124,7 @@ func TestBreakerReleaseProbesUnwedgesCachedRequests(t *testing.T) {
 	if ok, _ := b.AllowAll([]string{class}); !ok {
 		t.Fatal("probe refused")
 	}
-	// The probing request's cells were all cached: no observer report ever
+	// The probing request's cells were all cached: no settlement report ever
 	// comes. ReleaseProbes (the handler's defer) must free the slot.
 	b.ReleaseProbes([]string{class})
 	if ok, _ := b.AllowAll([]string{class}); !ok {

@@ -7,10 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"dylect/internal/telemetry"
@@ -18,7 +15,7 @@ import (
 
 // Client is the retrying client for the service. Retryable rejections
 // (429/503 with a stable code) are retried with jittered exponential
-// backoff; a server-advertised Retry-After overrides the computed backoff.
+// backoff; a server-advertised Retry-After raises the computed backoff.
 // Permanent errors (400) fail immediately. Safe for concurrent use.
 type Client struct {
 	// Base is the service root, e.g. "http://127.0.0.1:8344".
@@ -37,16 +34,15 @@ type Client struct {
 	// delays.
 	sleep func(ctx context.Context, d time.Duration) error
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	jitter *Backoff
 }
 
 // NewClient builds a client with the jitter source seeded from seed, so
 // tests reproduce their backoff schedules.
 func NewClient(base string, seed int64) *Client {
 	return &Client{
-		Base: base,
-		rng:  rand.New(rand.NewSource(seed)),
+		Base:   base,
+		jitter: NewBackoff(seed),
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -156,15 +152,7 @@ func (c *Client) do(ctx context.Context, body []byte, id string) (*RunResponse, 
 			apiErr.Code = er.Code
 			apiErr.Msg = er.Error
 		}
-		// Prefer the header (integral seconds) and fall back to the body.
-		if ra := hresp.Header.Get("Retry-After"); ra != "" {
-			if sec, perr := strconv.Atoi(ra); perr == nil && sec > 0 {
-				apiErr.RetryAfter = time.Duration(sec) * time.Second
-			}
-		}
-		if apiErr.RetryAfter == 0 && er.RetryAfterSec > 0 {
-			apiErr.RetryAfter = time.Duration(er.RetryAfterSec * float64(time.Second))
-		}
+		apiErr.RetryAfter = RetryAfter(hresp.Header, er)
 		return nil, apiErr
 	}
 	var out RunResponse
@@ -185,31 +173,21 @@ func (c *Client) do(ctx context.Context, body []byte, id string) (*RunResponse, 
 	return &out, nil
 }
 
-// backoff computes the wait before the given (1-based) retry attempt:
-// the server's Retry-After when advertised (clamped to MaxBackoff, so a
-// server deep in its own cooldown schedule cannot park the client for
-// minutes), else full-jitter exponential backoff.
+// backoff computes the wait before the given (1-based) retry attempt under
+// the shared Backoff rule, capped at MaxBackoff.
 func (c *Client) backoff(attempt int, last error) time.Duration {
 	maxB := c.MaxBackoff
 	if maxB <= 0 {
 		maxB = 10 * time.Second
 	}
-	var apiErr *APIError
-	if errors.As(last, &apiErr) && apiErr.RetryAfter > 0 {
-		return min(apiErr.RetryAfter, maxB)
-	}
 	base := c.BaseBackoff
 	if base <= 0 {
 		base = 200 * time.Millisecond
 	}
-	d := base << (attempt - 1)
-	if d > maxB || d <= 0 {
-		d = maxB
+	var advice time.Duration
+	var apiErr *APIError
+	if errors.As(last, &apiErr) {
+		advice = apiErr.RetryAfter
 	}
-	// Full jitter: uniform in (0, d]. Decorrelates clients that were
-	// rejected together so they do not return together.
-	c.mu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(d))) + 1
-	c.mu.Unlock()
-	return j
+	return c.jitter.Wait(attempt, base, advice, maxB)
 }

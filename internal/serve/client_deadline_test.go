@@ -15,7 +15,7 @@ import (
 // failing later anyway.
 func TestClientBackoffRespectsDeadline(t *testing.T) {
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 30*time.Second)
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 30*time.Second)
 	}))
 	defer probe.Close()
 
@@ -53,7 +53,7 @@ func TestClientBackoffStillSleepsWithinDeadline(t *testing.T) {
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if first {
 			first = false
-			writeErr(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 1*time.Second)
+			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 1*time.Second)
 			return
 		}
 		writeJSON(w, http.StatusOK, RunResponse{})

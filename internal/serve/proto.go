@@ -61,8 +61,8 @@ type ExperimentResult struct {
 	// Blocks is the experiment's rendered output, absent on failure.
 	Blocks []string `json:"blocks,omitempty"`
 	// Error describes a failure; Code is the stable harness error code
-	// ("timeout", "panic", "transient", "canceled") when the failure was a
-	// classified cell failure, empty otherwise.
+	// ("timeout", "panic", "canceled") when the failure was a classified
+	// cell failure, empty otherwise.
 	Error string `json:"error,omitempty"`
 	Code  string `json:"code,omitempty"`
 }

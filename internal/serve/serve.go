@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -30,9 +28,6 @@ type Options struct {
 	// request deadlines: the watchdog bounds a single wedged cell, the
 	// deadline bounds the whole request.
 	CellTimeout time.Duration
-	// Retries/RetryBackoff bound per-cell transient retries.
-	Retries      int
-	RetryBackoff time.Duration
 
 	// MaxCost / MaxQueue / PerClient tune admission control (see
 	// NewAdmission for defaults).
@@ -104,11 +99,8 @@ type Server struct {
 // New builds a Server over a fresh runner for opts.Config. The runner runs
 // in service mode: failed cells are evicted as they settle (the breaker —
 // not the cache — bounds re-attempt storms), and every settlement feeds the
-// breaker.
+// breaker and, when Telemetry is set, the cell metrics.
 func New(opts Options) *Server {
-	if opts.Jobs <= 0 {
-		opts.Jobs = runtime.GOMAXPROCS(0)
-	}
 	if opts.DefaultTimeout <= 0 {
 		opts.DefaultTimeout = 2 * time.Minute
 	}
@@ -124,20 +116,16 @@ func New(opts Options) *Server {
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s.runner.SetJobs(opts.Jobs)
-	if opts.CellTimeout > 0 {
-		s.runner.SetCellTimeout(opts.CellTimeout)
-	}
-	if opts.Retries > 0 {
-		s.runner.SetRetries(opts.Retries, opts.RetryBackoff)
-	}
-	s.runner.SetEvictFailedCells(true)
+	s.runner.Configure(harness.ExecOptions{
+		Jobs:        opts.Jobs,
+		CellTimeout: opts.CellTimeout,
+		EvictFailed: true,
+	})
 	if opts.Checkpoint != nil {
 		s.runner.AttachCheckpoint(opts.Checkpoint)
 	}
 	s.adm = NewAdmission(opts.MaxCost, opts.MaxQueue, opts.PerClient, opts.Now)
 	s.brk = NewBreaker(opts.Breaker, opts.Now)
-	s.runner.SetCellObserver(s.brk.Report)
 	s.mem = NewMemoryMonitor(opts.Memory, func(int32) {
 		// On an upward pressure transition, shed the largest queued
 		// requests first; freeing half the running budget's worth of
@@ -154,10 +142,15 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	if opts.Telemetry != nil {
 		s.tel = opts.Telemetry
-		s.runner.SetCellTelemetry(s.tel.observeCell)
 		s.brk.SetTransitionHook(s.tel.observeBreaker)
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
+	s.runner.SetCellTelemetry(func(st harness.CellSettlement) {
+		s.brk.Report(st.Key, st.Err)
+		if s.tel != nil {
+			s.tel.observeCell(st)
+		}
+	})
 	return s
 }
 
@@ -361,7 +354,7 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, tr *telemetr
 	fail := func(status int, code, msg string, retryAfter time.Duration) (int, string) {
 		tr.Observe("total", s.clock().Sub(began))
 		w.Header().Set(telemetry.HeaderServerTiming, tr.ServerTiming())
-		writeErr(w, status, code, msg, retryAfter)
+		WriteError(w, status, code, msg, retryAfter)
 		return status, code
 	}
 	if !s.isReady() {
@@ -430,7 +423,7 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, tr *telemetr
 		return fail(http.StatusServiceUnavailable, CodeBreakerOpen,
 			"circuit open for a (workload, design) class this request needs", retry)
 	}
-	// A probe committed above normally settles through the cell observer;
+	// A probe committed above normally settles through the settlement hook;
 	// if this request's cells were all cached (nothing fresh to observe),
 	// free the probe slot on exit so the class is not wedged probing.
 	defer s.brk.ReleaseProbes(classes)
@@ -512,15 +505,6 @@ func statusOf(code string) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusServiceUnavailable
-}
-
-// writeErr emits the uniform error body plus a Retry-After header when
-// there is advice to give.
-func writeErr(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(math.Ceil(retryAfter.Seconds()))))
-	}
-	writeJSON(w, status, ErrorResponse{Error: msg, Code: code, RetryAfterSec: retryAfter.Seconds()})
 }
 
 // writeJSON emits compact JSON with HTML escaping off: an embedded

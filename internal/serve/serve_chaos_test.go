@@ -15,9 +15,9 @@ import (
 
 // TestChaosSoak is the service's survival test: six concurrent retrying
 // clients hammer a server whose cells are scripted to panic (omnetpp/naive,
-// never healing), hang (omnetpp/dylect, first attempt only), and fail
-// transiently (omnetpp/nocomp, first attempt only). The service must keep
-// every promise at once under the storm:
+// never healing), hang (omnetpp/dylect, first attempt only), and return an
+// error (omnetpp/nocomp, first attempt only). The service must keep every
+// promise at once under the storm:
 //
 //   - no request ever observes an internal error (5xx without a stable code),
 //   - every complete fig4 response is byte-identical to every other and to a
@@ -40,8 +40,6 @@ func TestChaosSoak(t *testing.T) {
 		// Must comfortably exceed a real cell's simulation time under the
 		// race detector (~4s); only the scripted hang should ever trip it.
 		o.CellTimeout = 15 * time.Second
-		o.Retries = 2
-		o.RetryBackoff = 10 * time.Millisecond
 		o.MaxCost = 4
 		o.MaxQueue = 8
 		o.PerClient = 2
@@ -56,8 +54,9 @@ func TestChaosSoak(t *testing.T) {
 	ci.Script("omnetpp/naive", faults.CellSpec{Kind: faults.CellPanic})
 	// dylect hangs once into the watchdog, then heals.
 	ci.Script("omnetpp/dylect", faults.CellSpec{Kind: faults.CellHang, Fail: 1, Release: release})
-	// nocomp fails transiently once; runner-level retries absorb it.
-	ci.Script("omnetpp/nocomp", faults.CellSpec{Kind: faults.CellTransient, Fail: 1})
+	// nocomp fails once, then heals: service mode evicts the failed cell,
+	// so a later request re-attempts it.
+	ci.Script("omnetpp/nocomp", faults.CellSpec{Kind: faults.CellError, Fail: 1})
 	s.Runner().SetCellHook(ci.Hook)
 
 	plans := [][]string{{"fig4"}, {"naive"}, {"table3"}, {"fig4", "table3"}, {"table1"}}
@@ -130,7 +129,7 @@ func TestChaosSoak(t *testing.T) {
 	// Completed results must match a direct, unfaulted in-process run byte
 	// for byte — injected faults may delay or refuse work, never corrupt it.
 	direct := harness.NewRunner(testConfig())
-	direct.SetJobs(4)
+	direct.Configure(harness.ExecOptions{Jobs: 4})
 	exps := mustExperiments(t, "fig4")
 	for _, out := range harness.RunShared(direct, exps) {
 		if out.Err != nil {
@@ -144,6 +143,12 @@ func TestChaosSoak(t *testing.T) {
 	if fig4Results[0] != string(want) {
 		t.Errorf("served fig4 under chaos differs from direct run: %d vs %d bytes",
 			len(fig4Results[0]), len(want))
+	}
+
+	// The once-failing cell healed through service-mode eviction: its
+	// failure was not memoized, so a later request re-attempted it.
+	if got := ci.Attempts("omnetpp/nocomp"); got < 2 {
+		t.Errorf("omnetpp/nocomp attempted %d times; eviction never re-attempted it", got)
 	}
 
 	// The permanently failing class is isolated behind its breaker; the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -89,7 +90,7 @@ func TestServeByteIdenticalToDirectRun(t *testing.T) {
 	}
 
 	direct := harness.NewRunner(testConfig())
-	direct.SetJobs(4)
+	direct.Configure(harness.ExecOptions{Jobs: 4})
 	exps := mustExperiments(t, "fig4")
 	for _, out := range harness.RunShared(direct, exps) {
 		if out.Err != nil {
@@ -153,7 +154,7 @@ func TestServeRejectsUnknownExperiment(t *testing.T) {
 	calls := 0
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "nope", 0)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "nope", 0)
 	}))
 	defer probe.Close()
 	c := NewClient(probe.URL, 1)
@@ -211,19 +212,47 @@ func TestServeDeadlinePropagation(t *testing.T) {
 
 // TestServeBreakerLifecycle drives a (workload, design) class through
 // closed -> open -> half-open -> closed over real requests, with the
-// breaker clock injected so cooldowns need no sleeping.
+// breaker clock injected so cooldowns need no sleeping. It runs with and
+// without Telemetry: the runner's one settlement hook feeds the breaker in
+// both arms, and with telemetry on, the cell-failure and breaker-transition
+// counters must agree with the breaker's own transitions.
 func TestServeBreakerLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	leakCheck(t)
+	for _, tel := range []*Telemetry{nil, NewTelemetry()} {
+		t.Run(fmt.Sprintf("telemetry=%v", tel != nil), func(t *testing.T) {
+			testBreakerLifecycle(t, tel)
+		})
+	}
+}
+
+func testBreakerLifecycle(t *testing.T, tel *Telemetry) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	clk := newFakeClock()
 	s, ts := newTestServer(t, ctx, func(o *Options) {
 		o.Now = clk.Now
 		o.Breaker = BreakerConfig{Threshold: 2, Cooldown: time.Second}
+		if tel != nil {
+			withTelemetry(tel)(o)
+		}
 	})
+	// transitions reads the telemetry transition counter for the class;
+	// failures its panic-failure counter. Both stay zero without telemetry.
+	transitions := func(to string) float64 {
+		if tel == nil {
+			return 0
+		}
+		return tel.breakerTransitions.Value("omnetpp/tmcc", to)
+	}
+	failures := func() float64 {
+		if tel == nil {
+			return 0
+		}
+		return tel.cellFailures.Value("omnetpp/tmcc", "panic")
+	}
 	// Every tmcc attempt panics until the test heals the fault. An
 	// attempt-counted script would be racy here: failed cells are evicted in
 	// service mode, so the experiment body re-runs them within the same
@@ -252,6 +281,15 @@ func TestServeBreakerLifecycle(t *testing.T) {
 	if got := s.Breaker().State("omnetpp/tmcc"); got != "open" {
 		t.Fatalf("class after two panics = %s, want open", got)
 	}
+	failed := failures()
+	if tel != nil {
+		// The breaker opens only after Threshold hard failures, each of
+		// which the same settlement fed to the failure counter.
+		if failed < 2 || transitions("open") != 1 {
+			t.Fatalf("telemetry after opening: %v panic failures, %v open transitions; want >=2 and 1",
+				failed, transitions("open"))
+		}
+	}
 
 	// While open: refused with the stable code and Retry-After advice.
 	status, body, hdr := postRun(t, ts.URL, RunRequest{Experiments: []string{"fig4"}})
@@ -267,6 +305,9 @@ func TestServeBreakerLifecycle(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("open-breaker rejection missing Retry-After")
+	}
+	if failures() != failed {
+		t.Fatalf("refused request settled cells: panic failures %v -> %v", failed, failures())
 	}
 
 	// Cooldown elapses and the fault clears: the probe request runs and
@@ -286,6 +327,16 @@ func TestServeBreakerLifecycle(t *testing.T) {
 	}
 	if got := s.Breaker().State("omnetpp/tmcc"); got != "closed" {
 		t.Fatalf("class after successful probe = %s, want closed", got)
+	}
+	if tel != nil {
+		for _, to := range []string{"open", "half-open", "closed"} {
+			if n := transitions(to); n != 1 {
+				t.Errorf("breaker transitions to %s = %v, want 1", to, n)
+			}
+		}
+		if failures() != failed {
+			t.Errorf("healed probe counted panic failures: %v -> %v", failed, failures())
+		}
 	}
 }
 
@@ -433,7 +484,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	var calls atomic.Int32
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
-			writeErr(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 3*time.Second)
+			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 3*time.Second)
 			return
 		}
 		writeJSON(w, http.StatusOK, RunResponse{Results: json.RawMessage("[]")})

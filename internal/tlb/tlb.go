@@ -272,18 +272,6 @@ func (w *Walker) CopyFrom(src *Walker) {
 	w.CacheHit = src.CacheHit
 }
 
-// CacheHitRate returns the fraction of page-table references filtered by
-// the walker cache (the leaf PTE always goes to memory, so it counts
-// against the rate).
-func (w *Walker) CacheHitRate() float64 {
-	return stats.Ratio(w.CacheHit.Value(), w.CacheHit.Value()+w.MemRefs.Value())
-}
-
-// RefsPerWalk returns the mean memory-hierarchy references issued per walk.
-func (w *Walker) RefsPerWalk() float64 {
-	return stats.Ratio(w.MemRefs.Value(), w.Walks.Value())
-}
-
 // ResetStats zeroes walker statistics.
 func (w *Walker) ResetStats() {
 	w.Walks.Reset()

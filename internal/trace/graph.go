@@ -28,11 +28,6 @@ func (g *Graph) NumEdges() uint64 { return uint64(len(g.Edges)) }
 // Degree returns v's out-degree.
 func (g *Graph) Degree(v uint64) uint64 { return g.Offsets[v+1] - g.Offsets[v] }
 
-// Neighbors returns v's out-edge slice.
-func (g *Graph) Neighbors(v uint64) []uint32 {
-	return g.Edges[g.Offsets[v]:g.Offsets[v+1]]
-}
-
 // GenerateGraph builds a deterministic power-law graph with the given
 // vertex count and average degree. Hub vertices (low IDs after the internal
 // shuffle) attract most edges, matching the skew that makes graph workloads

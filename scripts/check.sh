@@ -14,7 +14,7 @@
 #            and byte-compare against internal/harness/testdata/golden
 #   faults   fault-injection smoke: seeded mid-run corruptions of every
 #            class must be caught by the invariant auditor, and scripted
-#            cell panics/hangs/transients must be contained by the pool
+#            cell panics/hangs/errors must be contained by the pool
 #   obs      observability smoke: an audited fig18 cell set run with
 #            -metrics-out/-trace-out, artifacts schema-checked with
 #            dylect-plot -validate-only (OBS_DIR keeps the artifacts)
@@ -82,6 +82,24 @@ want() {
 	return 1
 }
 
+# run_tests PATTERN PKG [FLAGS...] runs `go test FLAGS -run PATTERN PKG`,
+# failing first when any |-separated alternative of PATTERN matches no test
+# in PKG: `go test -run` exits 0 on zero matches, so a renamed or deleted
+# test would otherwise shrink the gate silently.
+run_tests() {
+	local pattern=$1 pkg=$2 alt listed
+	shift 2
+	listed=$(go test -list . "$pkg" | grep -E '^(Test|Example|Fuzz)' || true)
+	IFS='|' read -ra alts <<<"$pattern"
+	for alt in "${alts[@]}"; do
+		if ! grep -Eq -- "$alt" <<<"$listed"; then
+			echo "-run alternative '$alt' matches no test in $pkg" >&2
+			exit 1
+		fi
+	done
+	go test "$@" -run "$pattern" "$pkg"
+}
+
 if want build; then
 	echo "== go build ./..."
 	go build ./...
@@ -121,18 +139,20 @@ fi
 
 if want golden; then
 	echo "== golden corpus (go test -run TestGoldenCorpus ./internal/harness)"
-	go test -count=1 -run 'TestGoldenCorpus' ./internal/harness
+	run_tests 'TestGoldenCorpus' ./internal/harness -count=1
 fi
 
 if want faults; then
 	echo "== fault-injection smoke"
 	# The seeded corruption matrix: every fault class x compressed design,
 	# detected by the auditor inside the timed window.
-	go test -count=1 -run 'TestAuditorCatchesEverySeededFaultClass|TestEventCountTrigger|TestFaultsIgnoredWithoutMCState|TestAuditCleanRuns' ./internal/system
-	# Injector unit tests + the pool containment suite (watchdog, retry,
-	# panic capture, graceful drain, checkpoint resume).
+	run_tests 'TestAuditorCatchesEverySeededFaultClass|TestEventCountTrigger|TestFaultsIgnoredWithoutMCState|TestAuditCleanRuns' \
+		./internal/system -count=1
+	# Injector unit tests + the pool containment suite (watchdog, panic
+	# capture, graceful drain, checkpoint resume).
 	go test -count=1 ./internal/faults
-	go test -count=1 -run 'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestCheckpoint|TestScaledAwayFootprintError' ./internal/harness
+	run_tests 'TestWatchdog|TestDeterministicFailureNotRetried|TestGracefulDrain|TestCheckpoint|TestScaledAwayFootprintError' \
+		./internal/harness -count=1
 fi
 
 if want obs; then
@@ -254,19 +274,16 @@ fi
 if want store; then
 	echo "== durable store (race units + crash-injection soak)"
 	go test -race -count=1 ./internal/cellstore
-	go test -race -count=1 \
-		-run 'TestStoreChaos|TestCorruptCell|TestCheckpoint|TestConfigHash|TestFreshCost' \
-		./internal/harness
+	run_tests 'TestStoreChaos|TestCorruptCell|TestCheckpoint|TestConfigHash|TestFreshCost' \
+		./internal/harness -race -count=1
 	scripts/store_crash.sh
 fi
 
 if want fabric; then
 	echo "== sweep fabric (race units + cluster chaos soak)"
 	go test -race -count=1 ./internal/fabric
-	go test -race -count=1 \
-		-run 'TestCellSpec|TestExecuteCellPayload|TestRemote' ./internal/harness
-	go test -race -count=1 \
-		-run 'TestCluster|TestWorkerCLI|TestParseChaos' ./cmd/dylect-served
+	run_tests 'TestCellSpec|TestExecuteCellPayload|TestRemote' ./internal/harness -race -count=1
+	run_tests 'TestCluster|TestWorkerCLI|TestParseChaos' ./cmd/dylect-served -race -count=1
 	scripts/fabric_chaos.sh
 fi
 
