@@ -135,8 +135,10 @@ type Result struct {
 
 	// Events counts discrete-event-engine events executed over the run
 	// (timed window; warmup is functional and schedules none). It is a
-	// simulator-throughput denominator for the benchmark harness
-	// (internal/perfbench), not a paper metric: RawResult never exports it.
+	// simulator-cost denominator, not a paper metric: RawResult never
+	// exports it. e2ebench divides timed-window time by it
+	// (system.timed_ns_per_event) and TestRunAllocBudget divides a run's
+	// mallocs by it.
 	Events uint64
 
 	Insts    uint64

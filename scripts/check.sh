@@ -42,20 +42,20 @@
 #            require orphan re-dispatch, fired hedges, a byte-identical
 #            merge, clean drains, and a store-sourced warm restart
 #            (scripts/fabric_chaos.sh; FABRIC_DIR keeps the artifacts)
-#   fuzz     10s smoke per fuzz target in ./internal/comp and the
-#            BENCH_*.json snapshot decoder in ./internal/perfbench
+#   fuzz     10s smoke per fuzz target in ./internal/comp
 #   e2e      the end-to-end benchmark's own smoke test (cd e2ebench &&
 #            go test ./...) under the offline Go environment
 #            e2ebench/run.sh sets up: every workload tiny, in both modes,
 #            metric names checked against BENCHMARK.json. e2ebench is its
 #            own module, so root `go test ./...` never builds it; this step
 #            catches a simulator API change that breaks the benchmark
-#   bench    perf-trajectory gate: run the pinned dylect-bench suite and
-#            compare against the newest committed BENCH_*.json snapshot.
-#            allocs/event drift hard-fails; wall-clock drift warns only
-#            (pass -fail-on-time via dylect-bench directly to escalate).
-#            BENCH_COUNT sets the repetitions (default 1 locally, CI uses
-#            more); BENCH_OUT keeps the fresh snapshot as an artifact
+#   allocs   allocation budgets without the race detector: the per-
+#            component AllocsPerRun budgets (engine, dram, cache, mc, tlb,
+#            warmup replay) and TestRunAllocBudget, the whole-run
+#            allocs/event budget per design over a fixed 12-cell matrix.
+#            The race step runs them too, but under the race runtime;
+#            this step holds them in the build the simulator ships as.
+#            Speed claims come from the e2ebench A/B runs, not from here
 #
 # Run a subset with e.g. `scripts/check.sh build lint`. No arguments runs
 # everything. FUZZTIME overrides the per-target fuzz budget (default 10s).
@@ -64,13 +64,13 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-10s}"
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(build vet lint contracts race golden faults obs serve store fabric fuzz e2e bench)
+[ ${#steps[@]} -eq 0 ] && steps=(build vet lint contracts race golden faults obs serve store fabric fuzz e2e allocs)
 
 for s in "${steps[@]}"; do
 	case "$s" in
-	build | vet | lint | contracts | race | golden | faults | obs | serve | store | fabric | fuzz | e2e | bench) ;;
+	build | vet | lint | contracts | race | golden | faults | obs | serve | store | fabric | fuzz | e2e | allocs) ;;
 	*)
-		echo "unknown step '$s' (want: build vet lint contracts race golden faults obs serve store fabric fuzz e2e bench)" >&2
+		echo "unknown step '$s' (want: build vet lint contracts race golden faults obs serve store fabric fuzz e2e allocs)" >&2
 		exit 2
 		;;
 	esac
@@ -290,16 +290,15 @@ fi
 if want fuzz; then
 	# `go test -fuzz` refuses a pattern matching more than one target, so
 	# enumerate the targets and smoke each one briefly.
-	for pkg in ./internal/comp ./internal/perfbench; do
-		targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
-		if [ -z "$targets" ]; then
-			echo "no fuzz targets found in $pkg" >&2
-			exit 1
-		fi
-		for t in $targets; do
-			echo "== fuzz $t ($FUZZTIME, $pkg)"
-			go test -run='^$' -fuzz="^${t}\$" -fuzztime="$FUZZTIME" "$pkg"
-		done
+	pkg=./internal/comp
+	targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
+	if [ -z "$targets" ]; then
+		echo "no fuzz targets found in $pkg" >&2
+		exit 1
+	fi
+	for t in $targets; do
+		echo "== fuzz $t ($FUZZTIME, $pkg)"
+		go test -run='^$' -fuzz="^${t}\$" -fuzztime="$FUZZTIME" "$pkg"
 	done
 fi
 
@@ -317,17 +316,14 @@ if want e2e; then
 	)
 fi
 
-if want bench; then
-	echo "== perf trajectory (pinned suite vs newest committed BENCH_*.json)"
-	base="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)"
-	if [ -z "$base" ]; then
-		echo "no committed BENCH_*.json baseline found" >&2
-		exit 1
-	fi
-	bench_out="${BENCH_OUT:-$(mktemp)}"
-	go run ./cmd/dylect-bench -count "${BENCH_COUNT:-1}" -quiet -out "$bench_out"
-	go run ./cmd/dylect-bench -compare "$base" "$bench_out"
-	[ -n "${BENCH_OUT:-}" ] || rm -f "$bench_out"
+if want allocs; then
+	echo "== allocation budgets (no race detector)"
+	run_tests 'TestStepAllocFree|TestObserveFlushAllocFree|TestRunUntilAllocFree' ./internal/engine -count=1
+	run_tests 'TestSubmitServiceAllocBudget|TestSubmitBatchAllocBudget' ./internal/dram -count=1
+	run_tests 'TestCacheOpsAllocFree|TestPrefetcherObserveAllocFree' ./internal/cache -count=1
+	run_tests 'TestBaseLookupsAllocFree|TestResidentBookkeepingAllocFree|TestSpaceLookupsAllocFree' ./internal/mc -count=1
+	run_tests 'TestWalkAllocFree' ./internal/tlb -count=1
+	run_tests 'TestReplayAllocFree|TestRunAllocBudget' ./internal/system -count=1
 fi
 
 echo "all checks passed"
