@@ -40,7 +40,8 @@ func (l Level) String() string {
 // the timed path (done fires when a read's data is available; writes are
 // posted and may pass done == nil). Warm is the functional path used during
 // the methodology's atomic-mode warmup: identical state transitions, no
-// timing, no DRAM traffic.
+// timing, no DRAM traffic. Base implements it for every compressed design
+// (access.go); NoComp implements it directly.
 type Translator interface {
 	Access(addr uint64, write bool, done func())
 	Warm(addr uint64, write bool)
@@ -184,7 +185,9 @@ const (
 )
 
 // Base implements the machinery common to TMCC, the naive design, and
-// DyLeCT. Concrete designs embed it and implement Translator.Access.
+// DyLeCT, and is their Translator: Access, Warm and Stats are defined here
+// once. A concrete design embeds it, implements Design (its CTE lookup and
+// two hooks), and binds itself with Bind.
 type Base struct {
 	P     Params
 	Eng   *engine.Engine
@@ -213,6 +216,9 @@ type Base struct {
 	reqCount       uint64 // for recency sampling
 	compressing    bool
 	functionalMode bool
+
+	design     Design // the bound design's lookup and hooks (Bind)
+	forceGroup bool   // expansions claim a group slot (Bind)
 
 	// in-flight expansion waiters per unit
 	expandWait map[uint64][]func()
@@ -422,16 +428,6 @@ func (b *Base) PreGatheredBlockAddr(p uint64) uint64 { return b.preGatherBase + 
 //
 //dylect:hotpath
 func (b *Base) CounterBlockAddr(p uint64) uint64 { return b.counterBase + p*5/8/64*64 }
-
-// After runs fn after a latency: inline in functional mode, scheduled on
-// the engine in timed mode.
-func (b *Base) After(d engine.Time, fn func()) {
-	if b.functionalMode {
-		fn()
-		return
-	}
-	b.Eng.Schedule(d, fn)
-}
 
 // ReadBlocks issues n sequential 64B reads starting at addr and calls done
 // (if non-nil) when the last completes. In functional mode it is free and
@@ -691,8 +687,19 @@ func (b *Base) FetchCTEBlock(blockAddr uint64, cacheIt bool, done func()) {
 		b.fetchWait[blockAddr] = append(waiters, done)
 		return
 	}
+	if b.functionalMode {
+		// Inline completion: nothing can queue behind the block, so it
+		// needs no waiter entry and no completion closure.
+		if cacheIt {
+			b.FillCTE(blockAddr, "demand")
+		}
+		if done != nil {
+			done()
+		}
+		return
+	}
 	b.fetchWait[blockAddr] = nil
-	complete := func() {
+	b.ReadBlocks(blockAddr, 1, dram.ClassCTE, false, func() {
 		if cacheIt {
 			b.FillCTE(blockAddr, "demand")
 		}
@@ -706,12 +713,7 @@ func (b *Base) FetchCTEBlock(blockAddr uint64, cacheIt bool, done func()) {
 				w()
 			}
 		}
-	}
-	if b.functionalMode {
-		complete()
-		return
-	}
-	b.ReadBlocks(blockAddr, 1, dram.ClassCTE, false, complete)
+	})
 }
 
 // DataAccess performs the demand 64B access for an uncompressed unit at the

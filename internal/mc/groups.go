@@ -353,6 +353,38 @@ func (b *Base) DisplaceAndClaim(u, slot uint64) bool {
 	return true
 }
 
+// forceIntoGroup moves a freshly expanded unit straight into its DRAM page
+// group, displacing an occupant when no slot is free: the second page
+// movement of Section IV-A1, which the naive design pays on every expansion
+// and DyLeCT only under its DirectToML0 ablation. It takes a free slot if
+// there is one, else vacates a chunk frame, else displaces an uncompressed
+// owner; with no usable slot the unit stays in ML1.
+func (b *Base) forceIntoGroup(u uint64) {
+	if b.units[u].level != ML1 {
+		return
+	}
+	base := b.GroupBase(u)
+	for s := base; s < base+b.P.GroupSize; s++ {
+		if b.Space.FrameIsFree(s) && b.Space.AllocSpecificFrame(s) {
+			b.MoveToSlot(u, s)
+			return
+		}
+	}
+	for s := base; s < base+b.P.GroupSize; s++ {
+		if b.FrameHoldsChunks(s) {
+			if b.DisplaceChunkFrame(s) && b.units[u].level == ML1 &&
+				b.Space.AllocSpecificFrame(s) {
+				b.MoveToSlot(u, s)
+				return
+			}
+			continue
+		}
+		if b.DisplaceAndClaim(u, s) {
+			return
+		}
+	}
+}
+
 // ShortCTEFrame computes the frame an ML0 unit lives in from its short CTE
 // — the translation the MC performs on a pre-gathered hit:
 // DRAMPage(u) = hash(u) + shortCTE.

@@ -115,3 +115,36 @@ func TestHitRateAboveTMCCStyleUnifiedOnly(t *testing.T) {
 		t.Fatalf("naive hit rate %.2f on a 4MB hot set", hr)
 	}
 }
+
+func TestWarmTimedEquivalence(t *testing.T) {
+	cA, engA, _ := newNaive(t)
+	cB, _, _ := newNaive(t)
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 400; i++ {
+		a := uint64(rng.Intn(32<<20)) &^ 63
+		cA.Access(a, i%4 == 0, nil)
+		engA.Run()
+		cB.Warm(a, i%4 == 0)
+	}
+	a0, a1, a2 := cA.LevelCounts()
+	b0, b1, b2 := cB.LevelCounts()
+	if a0 != b0 || a1 != b1 || a2 != b2 {
+		t.Fatalf("timed (%d/%d/%d) vs functional (%d/%d/%d) state diverged",
+			a0, a1, a2, b0, b1, b2)
+	}
+	a, b := lookupCounts(cA.Stats()), lookupCounts(cB.Stats())
+	if a != b {
+		t.Fatalf("lookup counters (hits, misses, pre-gathered, unified, block fetches) diverged: timed %v, functional %v", a, b)
+	}
+	if a[1] == 0 || cA.Stats().Promotions.Value() == 0 {
+		t.Fatalf("the access mix never missed (%d misses) or never claimed a group slot (%d promotions)",
+			a[1], cA.Stats().Promotions.Value())
+	}
+}
+
+// lookupCounts is every CTE lookup counter a timed and a functional run of
+// the same accesses must agree on.
+func lookupCounts(s *mc.Stats) [5]uint64 {
+	return [5]uint64{s.CTEHits.Value(), s.CTEMisses.Value(), s.PreGatheredHits.Value(),
+		s.UnifiedHits.Value(), s.CTEBlockFetches.Value()}
+}

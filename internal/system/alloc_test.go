@@ -4,7 +4,13 @@ import (
 	"runtime"
 	"testing"
 
+	"dylect/internal/comp"
+	"dylect/internal/core"
+	"dylect/internal/dram"
 	"dylect/internal/engine"
+	"dylect/internal/mc"
+	"dylect/internal/naive"
+	"dylect/internal/tmcc"
 	"dylect/internal/trace"
 )
 
@@ -29,14 +35,14 @@ var allocBudgets = []struct {
 	setting Setting
 	budget  float64
 }{
-	{DesignNoComp, SettingNone, 2.0846},
-	{DesignTMCC, SettingHigh, 6.5029},
-	{DesignDyLeCT, SettingHigh, 7.0291},
-	{DesignNaive, SettingHigh, 13.2406},
+	{DesignNoComp, SettingNone, 2.0702},
+	{DesignTMCC, SettingHigh, 6.0598},
+	{DesignDyLeCT, SettingHigh, 6.5583},
+	{DesignNaive, SettingHigh, 10.4460},
 }
 
 const (
-	allocBudgetTotal     = 7.2610
+	allocBudgetTotal     = 6.3229
 	allocBudgetTolerance = 0.02
 	allocBudgetReps      = 3
 )
@@ -115,4 +121,72 @@ func checkAllocBudget(t *testing.T, scope string, allocs, events uint64, budget 
 		return
 	}
 	t.Logf("%s: %.4f allocs/event (budget %.4f)", scope, got, budget)
+}
+
+// TestWarmAllocFree holds each compressed design's functional path to zero
+// allocations per Warm call in steady state, on a CTE hit and on a CTE miss
+// over pages that are already uncompressed (no expansion): warmup replays
+// millions of Warm calls per sweep. The miss set is 64 units 512KB apart,
+// visited even-indexed first, so with a 1KB CTE cache (and naive's split
+// caches carved from it) every unified, pre-gathered and gathered-short
+// block is evicted before its next use.
+func TestWarmAllocFree(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(mc.Params) mc.Translator
+	}{
+		{"tmcc", func(p mc.Params) mc.Translator { return tmcc.New(p) }},
+		{"dylect", func(p mc.Params) mc.Translator { return core.New(p, core.DefaultConfig()) }},
+		{"naive", func(p mc.Params) mc.Translator { return naive.New(p) }},
+	}
+	var missSet []uint64
+	for _, parity := range []uint64{0, 1} {
+		for i := parity; i < 64; i += 2 {
+			missSet = append(missSet, i*128*comp.PageSize)
+		}
+	}
+	for _, b := range builds {
+		eng := engine.New()
+		tr := b.build(mc.Params{
+			Eng: eng, DRAM: dram.NewController(eng, dram.DDR4(1, 1, 192)), // 24MB
+			OSBytes:         32 << 20,
+			SizeModel:       comp.NewSizeModel(3, 3.4),
+			CTECacheBytes:   1 << 10,
+			FreeTargetBytes: 1 << 20,
+		})
+		missRound := func() {
+			for _, a := range missSet {
+				tr.Warm(a, false)
+			}
+		}
+		for i := 0; i < 200; i++ { // expand, promote and settle the set
+			missRound()
+		}
+		s := tr.Stats()
+		cases := []struct {
+			name       string
+			run        func()
+			hits, miss uint64 // per run
+		}{
+			{"hit", func() { tr.Warm(missSet[0], false) }, 1, 0},
+			{"miss", missRound, 0, uint64(len(missSet))},
+		}
+		for _, c := range cases {
+			const runs = 100
+			c.run() // settle the CTE caches into the case's pattern
+			before := *s
+			if n := testing.AllocsPerRun(runs, c.run); n != 0 {
+				t.Errorf("%s: Warm on a CTE %s allocated %.1f/op, want 0", b.name, c.name, n)
+			}
+			// AllocsPerRun makes one unmeasured call before the runs.
+			hits, miss := s.CTEHits.Value()-before.CTEHits.Value(), s.CTEMisses.Value()-before.CTEMisses.Value()
+			if hits != c.hits*(runs+1) || miss != c.miss*(runs+1) {
+				t.Errorf("%s %s: %d hits and %d misses over %d runs, want %d and %d per run",
+					b.name, c.name, hits, miss, runs+1, c.hits, c.miss)
+			}
+			if n := s.Expansions.Value() - before.Expansions.Value(); n != 0 {
+				t.Errorf("%s %s: %d expansions; the set must already be uncompressed", b.name, c.name, n)
+			}
+		}
+	}
 }

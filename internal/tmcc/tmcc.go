@@ -26,87 +26,16 @@ type Controller struct {
 // New builds a TMCC controller. Params.WithDyLeCTTables is forced off.
 func New(p mc.Params) *Controller {
 	p.WithDyLeCTTables = false
-	return &Controller{Base: mc.NewBase(p)}
+	c := &Controller{Base: mc.NewBase(p)}
+	c.Bind(c, false)
+	return c
 }
 
-// Stats implements mc.Translator.
-func (c *Controller) Stats() *mc.Stats { return &c.S }
-
-// Warm implements mc.Translator: the functional-warmup path.
-func (c *Controller) Warm(addr uint64, write bool) {
-	c.SetFunctional(true)
-	c.Access(addr, write, nil)
-	c.SetFunctional(false)
-}
-
-// Access implements mc.Translator: translate through the CTE cache, expand
-// compressed units on demand, and perform the data access.
-func (c *Controller) Access(addr uint64, write bool, done func()) {
-	c.S.Requests.Inc()
-	u := c.UnitOf(addr)
-
-	if c.Functional() {
-		c.accessFunctional(u, addr, write, done)
-		return
-	}
-
-	start := c.Eng.Now()
-	finish := done
-	if !write {
-		finish = func() {
-			c.S.ReadLatency.Observe((c.Eng.Now() - start).Nanoseconds())
-			if done != nil {
-				done()
-			}
-		}
-	}
-
-	proceed := func() { c.serve(u, addr, write, finish) }
-
-	blk := c.UnifiedBlockAddr(u)
-	switch {
-	case c.P.PerfectCTE:
-		c.S.CTEHits.Inc()
-		c.After(c.P.CTEHitLatency, proceed)
-	case c.CTE.Access(blk, false):
-		c.S.CTEHits.Inc()
-		c.S.UnifiedHits.Inc()
-		c.After(c.P.CTEHitLatency, proceed)
-	default:
-		c.S.CTEMisses.Inc()
-		// Lookup latency is paid before the miss is known.
-		c.After(c.P.CTEHitLatency, func() {
-			c.FetchCTEBlock(blk, true, proceed)
-		})
-	}
-}
-
-// serve runs after translation: Recency-List maintenance, demand expansion
-// of compressed units, and the data access itself.
-func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
-	c.TouchRecency(u)
-	if c.Level(u) == mc.ML2 {
-		if write {
-			// Writebacks to compressed units expand them too
-			// (Section II-B) but the write itself is posted.
-			c.ExpandUnit(u, nil)
-			if finish != nil {
-				finish()
-			}
-		} else {
-			c.ExpandUnit(u, finish)
-		}
-	} else {
-		c.DataAccess(addr, write, finish)
-	}
-	c.CheckPressure()
-}
-
-// accessFunctional is the warmup fast path: the same lookup sequence as
-// Access with the inline-in-functional-mode After() calls (and their
-// closures) removed. Counter increments, CTE-cache touches, and fill order
-// are identical.
-func (c *Controller) accessFunctional(u, addr uint64, write bool, done func()) {
+// LookupCTE implements mc.Design: one unified CTE block per 8 units, cached
+// on a miss.
+//
+//dylect:hotpath
+func (c *Controller) LookupCTE(u uint64) mc.CTEFetch {
 	blk := c.UnifiedBlockAddr(u)
 	switch {
 	case c.P.PerfectCTE:
@@ -116,10 +45,17 @@ func (c *Controller) accessFunctional(u, addr uint64, write bool, done func()) {
 		c.S.UnifiedHits.Inc()
 	default:
 		c.S.CTEMisses.Inc()
-		c.FetchCTEBlock(blk, true, nil)
+		return mc.Miss(blk, true)
 	}
-	c.serve(u, addr, write, done)
+	return mc.CTEFetch{}
 }
+
+// CTEArrived implements mc.Design: the fetch's CTE-cache fill is all.
+func (c *Controller) CTEArrived(uint64) {}
+
+// Translated implements mc.Design: TMCC has no per-access policy beyond
+// the Recency List Base maintains.
+func (c *Controller) Translated(uint64) {}
 
 // WalkHint implements the PTB-embedding optimization (Section II-B): the
 // page walk that translated this OS page carried the page's truncated CTE

@@ -107,10 +107,16 @@ func TestWarmMatchesTimedStateMachine(t *testing.T) {
 		t.Fatalf("timed (%d/%d/%d) and functional (%d/%d/%d) state diverged",
 			a0, a1, a2, b0, b1, b2)
 	}
-	if cA.Stats().CTEHits.Value() != cB.Stats().CTEHits.Value() {
-		t.Fatalf("hit accounting diverged: %d vs %d",
-			cA.Stats().CTEHits.Value(), cB.Stats().CTEHits.Value())
+	if a, b := lookupCounts(cA.Stats()), lookupCounts(cB.Stats()); a != b {
+		t.Fatalf("lookup counters (hits, misses, pre-gathered, unified, block fetches) diverged: timed %v, functional %v", a, b)
 	}
+}
+
+// lookupCounts is every CTE lookup counter a timed and a functional run of
+// the same accesses must agree on.
+func lookupCounts(s *mc.Stats) [5]uint64 {
+	return [5]uint64{s.CTEHits.Value(), s.CTEMisses.Value(), s.PreGatheredHits.Value(),
+		s.UnifiedHits.Value(), s.CTEBlockFetches.Value()}
 }
 
 func TestPerfectCTENeverMisses(t *testing.T) {

@@ -51,7 +51,8 @@
 #            catches a simulator API change that breaks the benchmark
 #   allocs   allocation budgets without the race detector: the per-
 #            component AllocsPerRun budgets (engine, dram, cache, mc, tlb,
-#            warmup replay) and TestRunAllocBudget, the whole-run
+#            warmup replay, each design's steady-state Warm on a CTE hit
+#            and miss) and TestRunAllocBudget, the whole-run
 #            allocs/event budget per design over a fixed 12-cell matrix.
 #            The race step runs them too, but under the race runtime;
 #            this step holds them in the build the simulator ships as.
@@ -323,7 +324,7 @@ if want allocs; then
 	run_tests 'TestCacheOpsAllocFree|TestPrefetcherObserveAllocFree' ./internal/cache -count=1
 	run_tests 'TestBaseLookupsAllocFree|TestResidentBookkeepingAllocFree|TestSpaceLookupsAllocFree' ./internal/mc -count=1
 	run_tests 'TestWalkAllocFree' ./internal/tlb -count=1
-	run_tests 'TestReplayAllocFree|TestRunAllocBudget' ./internal/system -count=1
+	run_tests 'TestReplayAllocFree|TestWarmAllocFree|TestRunAllocBudget' ./internal/system -count=1
 fi
 
 echo "all checks passed"
